@@ -2,31 +2,31 @@
 #
 #   make build       compile everything
 #   make vet         static analysis
-#   make test        unit + experiment tests (tier-1)
+#   make test        unit + experiment tests (tier-1), including the quick
+#                    fig10 golden table
 #   make race        full tree under the race detector (the parallel
 #                    experiment engine must stay race-clean)
 #   make alloccheck  gate: the steady-state hot paths (path access, evict,
 #                    tree walk, tree-top find, LLC access, DWB scan,
 #                    histogram observe, fully-traced flight access) must not
-#                    allocate
+#                    allocate (the *ZeroAllocs tests)
 #   make docscheck   gate: exported facade/metrics identifiers must carry doc
 #                    comments, and docs/METRICS.md must match the metrics
 #                    registry's self-description both ways
-#   make check       all of the above — the documented verification flow
-#   make bench       benchmark harness (one benchmark per paper figure)
-#   make benchjson   performance-trajectory snapshot (BENCH_pr10.json, min of
-#                    5 reps per benchmark); fails if the quick fig10 gmeans
-#                    drift from BENCH_pr9.json
-#   make benchcmp    compare BENCH_pr10.json against BENCH_pr9.json: fails on
-#                    >10% ns/op regression or any metric drift
+#   make check       all of the above, then vet and test the perfbench/
+#                    benchmark module, which the root build does not compile
+#   make bench       every go-test benchmark: one per paper figure plus the
+#                    per-package hot-path microbenchmarks
 #   make flightcheck trace a quick fig10 run, validate it with flightstat,
 #                    and diff the trace bytes across -jobs 1 and -jobs 4
 #   make profile     CPU+heap profile of a quick fig10 regeneration
 #   make profile-top profile, then print the top 25 flat-cost functions
+#
+# The performance benchmark is perfbench/ (see perfbench/README.md).
 
 GO ?= go
 
-.PHONY: build vet test race alloccheck docscheck check bench benchjson benchcmp flightcheck profile profile-top
+.PHONY: build vet test race alloccheck docscheck check bench flightcheck profile profile-top
 
 build:
 	$(GO) build ./...
@@ -41,21 +41,16 @@ race:
 	$(GO) test -race ./...
 
 alloccheck:
-	$(GO) run ./cmd/benchjson -check
+	$(GO) test -run ZeroAllocs ./...
 
 docscheck:
 	$(GO) run ./cmd/docscheck
 
 check: build vet test race alloccheck docscheck
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
-benchjson:
-	$(GO) run ./cmd/benchjson -out BENCH_pr10.json -baseline BENCH_pr9.json
-
-benchcmp:
-	$(GO) run ./cmd/benchjson -diff BENCH_pr10.json -against BENCH_pr9.json
+	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 flightcheck:
 	$(GO) run ./cmd/experiments -fig fig10 -quick -progress=false -jobs 4 \

@@ -9,18 +9,14 @@ package iroram
 import (
 	"bytes"
 	"fmt"
-
 	"testing"
 
 	"iroram/internal/block"
-	"iroram/internal/cache"
 	"iroram/internal/config"
 	"iroram/internal/core"
 	"iroram/internal/dram"
 	"iroram/internal/rng"
-	"iroram/internal/stash"
 	"iroram/internal/trace"
-	"iroram/internal/tree"
 )
 
 // benchOpts is the reduced scale every figure benchmark runs at.
@@ -231,7 +227,7 @@ func BenchmarkPathAccess(b *testing.B) {
 	r := rng.New(2)
 	nd := cfg.ORAM.DataBlocks()
 	// Warm up out of the timed (and alloc-counted) region so scratch buffers
-	// reach steady-state capacity; make check gates on allocs/op == 0 here.
+	// reach steady-state capacity.
 	now := uint64(0)
 	for i := 0; i < 2000; i++ {
 		now = is.ReadBlock(now, block.ID(r.Uint64n(nd)))
@@ -242,32 +238,6 @@ func BenchmarkPathAccess(b *testing.B) {
 		now = is.ReadBlock(now, block.ID(r.Uint64n(nd)))
 	}
 }
-
-// BenchmarkEvict measures the single-pass write phase (path read into the
-// stash + deepest-first eviction) without DRAM timing — the structures the
-// PR 4 open-addressed stash index serves. Body in internal/core so
-// cmd/benchjson snapshots the same code.
-func BenchmarkEvict(b *testing.B) { core.EvictBenchmark(b) }
-
-// BenchmarkTreeWalk measures one path round-trip over the bitmap-indexed
-// tree alone: the occupancy-word walk removing every block on a path, then
-// exact free-mask refills. Body in internal/tree so cmd/benchjson snapshots
-// the same code.
-func BenchmarkTreeWalk(b *testing.B) { tree.WalkBenchmark(b) }
-
-// BenchmarkTopCacheFind measures the tree-top lookup mix (hit Find, miss
-// Find, Remove+Fill churn) through the lazy address index. Body in
-// internal/stash so cmd/benchjson snapshots the same code.
-func BenchmarkTopCacheFind(b *testing.B) { stash.TopCacheFindBenchmark(b) }
-
-// BenchmarkLLCAccess measures one LLC access-or-insert with LRU tracking
-// enabled (the IR-DWB configuration: mask set indexing + summary refresh).
-func BenchmarkLLCAccess(b *testing.B) { cache.AccessBenchmark(b) }
-
-// BenchmarkDWBScan measures the Ptr-register candidate search with one
-// dirty-LRU set among 1024 — the sweep the summary bitmaps collapse to a
-// word-wise scan.
-func BenchmarkDWBScan(b *testing.B) { cache.ScanBenchmark(b) }
 
 // BenchmarkControllerInit measures tree construction + initial placement.
 func BenchmarkControllerInit(b *testing.B) {

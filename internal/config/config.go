@@ -199,15 +199,6 @@ type DRAM struct {
 	TRP                   int // precharge
 	TBurst                int // data transfer per 64 B block
 	TWR                   int // write recovery before precharge
-
-	// PathSchedSlots sizes the controller's per-leaf path schedule cache
-	// (the memoized (channel,bank,row) run lists that let repeat leaves
-	// skip address generation entirely). 0 picks a default of
-	// min(8192, leaf count) slots per tree; a negative value disables the
-	// cache. Purely a performance knob: the memoized schedule is
-	// timing-identical to a fresh build, so simulation output never
-	// depends on it.
-	PathSchedSlots int
 }
 
 // Cache configures one cache level.

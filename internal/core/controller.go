@@ -63,10 +63,9 @@ type Controller struct {
 	rho  *rhoState  // non-nil when the ρ scheme is active
 	ring *ringState // non-nil when the Ring ORAM protocol is active
 
-	// sched memoizes the main tree's per-leaf DRAM run lists (nil when
-	// disabled via config.DRAM.PathSchedSlots); nPathBlocks is the fixed
-	// per-path block count of the main tree, so the hot path never needs
-	// the address list just to know its length.
+	// sched memoizes the main tree's per-leaf DRAM run lists; nPathBlocks
+	// is the fixed per-path block count of the main tree, so the hot path
+	// never needs the address list just to know its length.
 	sched       *dram.PathSched
 	nPathBlocks int
 
@@ -76,10 +75,10 @@ type Controller struct {
 	refPipeline bool
 
 	// Scratch buffers reused across path accesses, so the steady-state hot
-	// path allocates nothing (guarded by TestPathAccessZeroAllocs and the
-	// make-check benchmark gate).
+	// path allocates nothing (guarded by TestPathAccessZeroAllocs, `make
+	// alloccheck`).
 	physBuf []uint64
-	accBuf  []dram.Access // cold paths only: ring reshuffles, context switch
+	accBuf  []dram.Access // reference pipeline only (access_reference.go)
 	// fetched serves only the reference pipeline (access_reference.go): it
 	// rebuilds per-path membership that the fused pipeline carries for free
 	// on the entries themselves via tree.GatherFlag.
@@ -119,7 +118,9 @@ type Controller struct {
 // and posted-writeback phase spans plus the whole-access span tagged
 // with path type and leaf; the issuer adds per-slot occupancy samples
 // and disarms the recorder when it accounts the slot. The reference
-// pipeline and the Ring ORAM protocol are not traced. Recording only
+// pipeline and Ring ORAM's one-block-per-bucket reads are not traced; a
+// sampled Ring eviction path is, its extra dummy-slot DRAM traffic
+// included. Recording only
 // observes — no RNG draws, no timing changes — so every counter,
 // histogram and byte of stdout is identical with tracing on or off.
 func (c *Controller) AttachFlight(fl *flight.Recorder) { c.fl = fl }
@@ -139,15 +140,15 @@ func NewController(cfg config.System, mem *dram.Model, r *rng.Source) (*Controll
 		minLevel = o.TopLevels
 	}
 	c := &Controller{
-		cfg:      cfg,
-		o:        o,
-		pm:       posmap.New(o, r.Fork()),
-		tr:       tree.New(o, minLevel),
-		layout:   tree.NewLayout(o, minLevel, int(mem.RowBlocks())),
-		fstash:   stash.NewFStash(o.StashCapacity),
-		plb:      cache.New(o.PLBEntries/o.PLBWays, o.PLBWays),
-		mem:      mem,
-		rng:      r,
+		cfg:       cfg,
+		o:         o,
+		pm:        posmap.New(o, r.Fork()),
+		tr:        tree.New(o, minLevel),
+		layout:    tree.NewLayout(o, minLevel, int(mem.RowBlocks())),
+		fstash:    stash.NewFStash(o.StashCapacity),
+		plb:       cache.New(o.PLBEntries/o.PLBWays, o.PLBWays),
+		mem:       mem,
+		rng:       r,
 		st:        newStats(o.Levels),
 		minLevel:  minLevel,
 		evictList: make([][]tree.Entry, o.Levels),
@@ -158,7 +159,7 @@ func NewController(cfg config.System, mem *dram.Model, r *rng.Source) (*Controll
 	c.migCounts = newPlaceCounts(o.Levels)
 	c.placeMainRef = func(e tree.Entry, level int, _ bool) { c.recordMigration(e.Addr, level) }
 	c.nPathBlocks = o.Z.BlocksPerPath(minLevel)
-	c.sched = newPathSched(mem, cfg.DRAM.PathSchedSlots, o.LeafCount(), c.nPathBlocks, 0)
+	c.sched = newPathSched(mem, o.LeafCount(), c.nPathBlocks, 0)
 	// The gather closures stage path blocks in c.gathered instead of
 	// inserting them into the stash: the eviction drain that runs one walk
 	// later would take them right back out, and the index round-trip (a
@@ -272,25 +273,15 @@ func (c *Controller) randomLeaf() block.Leaf {
 	return block.Leaf(c.rng.Uint64n(c.o.LeafCount()))
 }
 
-// defaultSchedSlots caps the auto-sized schedule cache: 8192 slots of
+// maxSchedSlots caps a tree's schedule cache: 8192 slots of
 // scaled-geometry run lists are ~1.5 MB — enough to make repeat leaves and
 // warm benchmark loops all-hit without scaling storage with the tree.
-const defaultSchedSlots = 8192
+const maxSchedSlots = 8192
 
-// newPathSched resolves the PathSchedSlots knob for one tree: 0 sizes the
-// cache at min(defaultSchedSlots, leaves), negative disables it.
-func newPathSched(mem *dram.Model, knob int, leaves uint64, blocksPerPath int, off uint64) *dram.PathSched {
-	if knob < 0 {
-		return nil
-	}
-	slots := uint64(defaultSchedSlots)
-	if knob > 0 {
-		slots = uint64(knob)
-	}
-	if slots > leaves {
-		slots = leaves
-	}
-	return mem.NewPathSched(int(slots), blocksPerPath, off)
+// newPathSched builds one tree's schedule cache with
+// min(maxSchedSlots, leaves) slots.
+func newPathSched(mem *dram.Model, leaves uint64, blocksPerPath int, off uint64) *dram.PathSched {
+	return mem.NewPathSched(int(min(maxSchedSlots, leaves)), blocksPerPath, off)
 }
 
 // pathRuns returns the memoized DRAM run list for leaf, building and
@@ -335,15 +326,8 @@ func (c *Controller) pathAccess(now uint64, leaf block.Leaf, target block.ID,
 	c.fl.SampleAccess()
 	// Read phase: the memory segment of the path, serviced in run-length
 	// form (no address list, no per-address decomposition on repeat leaves).
-	var readDone uint64
-	var runs []dram.Run
-	if c.sched != nil {
-		runs = c.pathRuns(leaf)
-		readDone = c.mem.ServiceRuns(now, runs, false)
-	} else {
-		c.physBuf = c.layout.PathPhys(leaf, c.physBuf[:0])
-		readDone = c.mem.ServicePath(now, c.physBuf, 0, false)
-	}
+	runs := c.pathRuns(leaf)
+	readDone := c.mem.ServiceRuns(now, runs, false)
 	c.st.PhaseReadCycles += readDone - now
 
 	// Walk 1: gather. Every real block on the path moves straight into the
@@ -373,12 +357,7 @@ func (c *Controller) pathAccess(now uint64, leaf block.Leaf, target block.ID,
 	// Write phase DRAM traffic: the same physical blocks, written. The
 	// batch is posted (its completion time is not waited on); it occupies
 	// the channel buses and delays whatever issues next.
-	var writeDone uint64
-	if runs != nil {
-		writeDone = c.mem.PostWriteRuns(readDone, runs)
-	} else {
-		writeDone = c.mem.PostWritePath(readDone, c.physBuf, 0)
-	}
+	writeDone := c.mem.PostWriteRuns(readDone, runs)
 	c.st.PhaseWriteBackCycles += writeDone - readDone
 
 	c.st.Paths.Add(ptype, c.nPathBlocks, c.nPathBlocks)

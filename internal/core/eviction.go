@@ -26,9 +26,9 @@ import (
 // TestEvictionDifferential), but may pick DIFFERENT blocks when more
 // candidates fit a level than the bucket holds: the reference scan picks by
 // stash storage order, the single-pass picks deepest-candidates-first.
-// Recorded experiment tables were re-baselined for this tie-break change in
-// EXPERIMENTS.md (PR 3); both orders are deterministic, so tables remain
-// byte-identical across runs and -jobs values.
+// Recorded experiment tables were re-baselined once for this tie-break
+// change; both orders are deterministic, so tables remain byte-identical
+// across runs and -jobs values.
 
 // evictOntoPath drains fs onto the path of leaf: memory-resident levels
 // [minLevel, levels) are bulk-filled into tr, and — when top is non-nil —

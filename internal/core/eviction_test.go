@@ -275,10 +275,10 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 	}
 }
 
-// TestPathAccessZeroAllocs pins the PR 3 zero-allocation guarantee: after
+// TestPathAccessZeroAllocs pins the zero-allocation guarantee: after
 // warm-up, a steady-state demand access (including its PosMap recursion,
-// eviction and DRAM traffic) performs no heap allocations. Guarded here and
-// by the make-check gate on BenchmarkPathAccess allocs/op.
+// eviction and DRAM traffic) performs no heap allocations (`make
+// alloccheck`).
 func TestPathAccessZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race instrumentation")

@@ -32,11 +32,9 @@ func flightRig(t *testing.T, fl *flight.Recorder) (*Issuer, *rng.Source, uint64,
 	return is, r, nd, now
 }
 
-// TestFlightDisabledZeroAllocs pins the tentpole's zero-cost-when-off
-// contract: with no recorder attached (the production default), a
-// steady-state demand access still performs no heap allocations. Wired
-// into `make alloccheck` via cmd/benchjson's PathAccess gate; this test
-// is the in-tree twin.
+// TestFlightDisabledZeroAllocs pins the zero-cost-when-off contract: with
+// no recorder attached (the production default), a steady-state demand
+// access still performs no heap allocations (`make alloccheck`).
 func TestFlightDisabledZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race instrumentation")

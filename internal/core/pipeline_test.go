@@ -64,10 +64,9 @@ func pipelineWorkload(n int, dataBlocks uint64, sch config.Scheme) []pipelineOp 
 }
 
 // pipelineSystem builds one controller + issuer for the differential run.
-func pipelineSystem(t *testing.T, sch config.Scheme, schedSlots int, ref bool) (*Issuer, *Controller) {
+func pipelineSystem(t *testing.T, sch config.Scheme, ref bool) (*Issuer, *Controller) {
 	t.Helper()
 	cfg := config.Tiny().WithScheme(sch)
-	cfg.DRAM.PathSchedSlots = schedSlots
 	mem := dram.New(cfg.DRAM)
 	c, err := NewController(cfg, mem, rng.New(cfg.Seed))
 	if err != nil {
@@ -185,7 +184,9 @@ func comparePipelines(t *testing.T, label string, isA, isB *Issuer, cA, cB *Cont
 // (memoized run-list DRAM phases + one gather walk) against the retained
 // multi-walk, per-address reference (access_reference.go) across every
 // scheme: identical completion times for every request, identical
-// statistics, DRAM state, stash storage order and tree occupancy.
+// statistics, DRAM state, stash storage order and tree occupancy. The
+// fused side must also serve repeat leaves from its schedule cache, so the
+// comparison exercises the memoized run lists.
 func TestFusedPipelineMatchesReference(t *testing.T) {
 	schemes := append(config.AllSchemes(),
 		config.Scheme{Name: "TopNone", Top: config.TopNone},
@@ -194,29 +195,41 @@ func TestFusedPipelineMatchesReference(t *testing.T) {
 	for _, sch := range schemes {
 		sch := sch
 		t.Run(sch.Name, func(t *testing.T) {
-			isA, cA := pipelineSystem(t, sch, 0, false)
-			isB, cB := pipelineSystem(t, sch, 0, true)
+			isA, cA := pipelineSystem(t, sch, false)
+			isB, cB := pipelineSystem(t, sch, true)
 			comparePipelines(t, "fused-vs-reference", isA, isB, cA, cB)
+			// Ring's reverse-lexicographic eviction paths, its only
+			// pathAccess callers, never repeat a leaf within the workload.
+			if cA.ring == nil && cA.sched.Hits == 0 {
+				t.Error("schedule cache never hit during the workload")
+			}
 		})
 	}
 }
 
-// TestFusedPipelineSchedCacheNeutral pins the schedule-cache knob as
-// timing-neutral: the fused pipeline with the cache disabled (fresh
-// address list + run build every path) must match the memoized default
-// exactly, and the default must actually be hitting its cache.
+// TestFusedPipelineSchedCacheNeutral pins the schedule-cache size as
+// timing-neutral: a fused pipeline whose caches hold a single slot (so
+// nearly every path rebuilds its address list and run list) must match
+// the full-size default exactly, and the default must hit its cache far
+// more often than the single-slot one does.
 func TestFusedPipelineSchedCacheNeutral(t *testing.T) {
 	for _, sch := range []config.Scheme{config.Baseline(), config.RhoScheme()} {
 		sch := sch
 		t.Run(sch.Name, func(t *testing.T) {
-			isA, cA := pipelineSystem(t, sch, 0, false)
-			isB, cB := pipelineSystem(t, sch, -1, false)
-			if cA.sched == nil || cB.sched != nil {
-				t.Fatal("PathSchedSlots knob not wired: want cache on A, off B")
+			isA, cA := pipelineSystem(t, sch, false)
+			isB, cB := pipelineSystem(t, sch, false)
+			cB.sched = cB.mem.NewPathSched(1, cB.nPathBlocks, 0)
+			if cB.rho != nil {
+				cB.rho.sched = cB.mem.NewPathSched(1, cB.rho.nPathBlocks, cB.rho.physOff)
 			}
-			comparePipelines(t, "sched-vs-nosched", isA, isB, cA, cB)
-			if cA.sched.Hits == 0 {
-				t.Error("schedule cache never hit during the workload")
+			comparePipelines(t, "sched-vs-oneslot", isA, isB, cA, cB)
+			if cA.sched.Hits <= cB.sched.Hits {
+				t.Errorf("schedule cache hits: default %d, single slot %d; want default > single slot",
+					cA.sched.Hits, cB.sched.Hits)
+			}
+			if cA.rho != nil && cA.rho.sched.Hits <= cB.rho.sched.Hits {
+				t.Errorf("small-tree schedule cache hits: default %d, single slot %d; want default > single slot",
+					cA.rho.sched.Hits, cB.rho.sched.Hits)
 			}
 		})
 	}

@@ -42,13 +42,13 @@ type rhoState struct {
 	// open-addressed table as the stash index; it is never iterated, so the
 	// swap cannot perturb ordering. Values are the leaves, stored as the
 	// table's uint32 payload.
-	member *stash.AddrTable
-	order  []block.ID // FIFO for demotion
+	member  *stash.AddrTable
+	order   []block.ID // FIFO for demotion
 	limit   int
 	demoteQ []block.ID
 
-	// sched memoizes the small tree's per-leaf DRAM run lists (nil when
-	// disabled); nPathBlocks is its fixed per-path block count.
+	// sched memoizes the small tree's per-leaf DRAM run lists; nPathBlocks
+	// is its fixed per-path block count.
 	sched       *dram.PathSched
 	nPathBlocks int
 
@@ -89,8 +89,7 @@ func (c *Controller) initRho() error {
 	// The small tree shares the DRAM with the main tree, laid out after it.
 	c.rho.physOff = tree.NewLayout(c.o, c.minLevel, int(c.mem.RowBlocks())).PhysicalSlots()
 	c.rho.nPathBlocks = small.Z.BlocksPerPath(small.TopLevels)
-	c.rho.sched = newPathSched(c.mem, c.cfg.DRAM.PathSchedSlots,
-		small.LeafCount(), c.rho.nPathBlocks, c.rho.physOff)
+	c.rho.sched = newPathSched(c.mem, small.LeafCount(), c.rho.nPathBlocks, c.rho.physOff)
 	return nil
 }
 
@@ -119,15 +118,8 @@ func (c *Controller) rhoPathAccess(now uint64, leaf block.Leaf, target block.ID,
 	// sample the flight recorder identically (see Controller.AttachFlight).
 	c.fl.SampleAccess()
 	r := c.rho
-	var readDone uint64
-	var runs []dram.Run
-	if r.sched != nil {
-		runs = c.rhoPathRuns(leaf)
-		readDone = c.mem.ServiceRuns(now, runs, false)
-	} else {
-		c.physBuf = r.layout.PathPhys(leaf, c.physBuf[:0])
-		readDone = c.mem.ServicePath(now, c.physBuf, r.physOff, false)
-	}
+	runs := c.rhoPathRuns(leaf)
+	readDone := c.mem.ServiceRuns(now, runs, false)
 	c.st.PhaseReadCycles += readDone - now
 
 	c.gathered = c.gathered[:0]
@@ -145,12 +137,7 @@ func (c *Controller) rhoPathAccess(now uint64, leaf block.Leaf, target block.ID,
 		r.o.Levels, leaf, c.gathered, c.evictList, c.evictBuf, nil, nil)
 
 	// As in the main tree, the write phase is posted to DRAM.
-	var writeDone uint64
-	if runs != nil {
-		writeDone = c.mem.PostWriteRuns(readDone, runs)
-	} else {
-		writeDone = c.mem.PostWritePath(readDone, c.physBuf, r.physOff)
-	}
+	writeDone := c.mem.PostWriteRuns(readDone, runs)
 	c.st.PhaseWriteBackCycles += writeDone - readDone
 	c.st.Paths.Add(ptype, r.nPathBlocks, r.nPathBlocks)
 	done = readDone + c.o.OnChipLatency

@@ -190,7 +190,7 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 
 // BenchmarkHistObserve is the metrics-overhead microbenchmark: one
 // histogram observation, the unit of work instrumentation adds per path
-// access. Gated at 0 allocs/op by `make alloccheck` (via cmd/benchjson).
+// access.
 func BenchmarkHistObserve(b *testing.B) {
 	var h Hist
 	b.ReportAllocs()
@@ -199,5 +199,23 @@ func BenchmarkHistObserve(b *testing.B) {
 	}
 	if h.Count() == 0 {
 		b.Fatal("no observations")
+	}
+}
+
+// TestHistObserveZeroAllocs gates Hist.Observe at 0 allocs/op (`make
+// alloccheck`): the registry design promises that instrumentation never
+// allocates in steady state.
+func TestHistObserveZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race instrumentation")
+	}
+	var h Hist
+	v := uint64(0)
+	avg := testing.AllocsPerRun(4000, func() {
+		h.Observe(v)
+		v += 37
+	})
+	if avg != 0 {
+		t.Errorf("Hist.Observe allocates %.2f times per op, want 0", avg)
 	}
 }

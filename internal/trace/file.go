@@ -101,7 +101,9 @@ func Read(r io.Reader) (name string, reqs []Request, err error) {
 	if count > 1<<32 {
 		return "", nil, fmt.Errorf("%w: implausible record count %d", ErrBadFormat, count)
 	}
-	reqs = make([]Request, 0, count)
+	// The header count is untrusted: preallocate at most 64Ki records and
+	// let append grow, so a short file cannot demand a huge allocation.
+	reqs = make([]Request, 0, min(count, 1<<16))
 	for i := uint64(0); i < count; i++ {
 		addr, err := binary.ReadUvarint(br)
 		if err != nil {

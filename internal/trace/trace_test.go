@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -220,6 +223,22 @@ func TestReadRejectsGarbage(t *testing.T) {
 		if _, _, err := Read(bytes.NewReader(c)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+}
+
+// TestReadBoundsHeaderCount: a header claiming 2^32 records with no body
+// is rejected without preallocating for the claimed count.
+func TestReadBoundsHeaderCount(t *testing.T) {
+	file := append([]byte("IRTR\x01\x00"), binary.AppendUvarint(nil, 1<<32)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Read(bytes.NewReader(file))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("err = %v, want ErrBadFormat", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("Read allocated %d bytes for a %d-byte file", grew, len(file))
 	}
 }
 
