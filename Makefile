@@ -1,9 +1,11 @@
 # Verification targets for the iroram reproduction.
 #
 #   make build       compile everything
+#   make fmt         gate: every Go file is gofmt-clean
 #   make vet         static analysis
 #   make test        unit + experiment tests (tier-1), including the quick
-#                    fig10 golden table
+#                    goldens (the fig10 table, and every figure's table and
+#                    JSONL artifacts)
 #   make race        full tree under the race detector (the parallel
 #                    experiment engine must stay race-clean)
 #   make alloccheck  gate: the steady-state hot paths (path access, evict,
@@ -26,10 +28,13 @@
 
 GO ?= go
 
-.PHONY: build vet test race alloccheck docscheck check bench flightcheck profile profile-top
+.PHONY: build fmt vet test race alloccheck docscheck check bench flightcheck profile profile-top
 
 build:
 	$(GO) build ./...
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -46,7 +51,7 @@ alloccheck:
 docscheck:
 	$(GO) run ./cmd/docscheck
 
-check: build vet test race alloccheck docscheck
+check: build fmt vet test race alloccheck docscheck
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:

@@ -82,8 +82,8 @@ func run() (code int) {
 			"write per-figure Chrome trace-event files (<figure>.trace.json) under this directory")
 		flightSample = flag.Uint64("flight-sample", 1,
 			"with -flight: trace one in every N path accesses (1 = every access)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 

@@ -41,17 +41,17 @@ func main() {
 
 func run() (code int) {
 	var (
-		scheme   = flag.String("scheme", "Baseline", "scheme: Baseline, Rho, IR-Alloc, IR-Stash, IR-DWB, IR-ORAM, LLC-D")
-		bench    = flag.String("bench", "mix", `workload: a Table II benchmark, "mix", or "random"`)
-		requests = flag.Int("requests", 30000, "trace records to simulate")
-		levels   = flag.Int("levels", 0, "override ORAM tree levels (0 = scaled default, 25 = Table I)")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		compare   = flag.Bool("compare", false, "run every scheme on the workload and print a comparison")
-		emitMode  = flag.String("emit", "", `artifact emission: "jsonl" writes irsim.jsonl under -out`)
-		out       = flag.String("out", "", "artifact directory for -emit jsonl")
-		telemAddr = flag.String("telemetry", "", "serve live JSON metric snapshots on this HTTP address (e.g. :8080)")
-		epochs    = flag.Uint64("epochs", 0, "record an epoch snapshot every N issued paths (0 = off)")
-		flightOut = flag.String("flight", "", "write a Chrome trace-event file of the run to this path")
+		scheme       = flag.String("scheme", "Baseline", "scheme: Baseline, Rho, IR-Alloc, IR-Stash, IR-DWB, IR-ORAM, LLC-D")
+		bench        = flag.String("bench", "mix", `workload: a Table II benchmark, "mix", or "random"`)
+		requests     = flag.Int("requests", 30000, "trace records to simulate")
+		levels       = flag.Int("levels", 0, "override ORAM tree levels (0 = scaled default, 25 = Table I)")
+		seed         = flag.Uint64("seed", 1, "simulation seed")
+		compare      = flag.Bool("compare", false, "run every scheme on the workload and print a comparison")
+		emitMode     = flag.String("emit", "", `artifact emission: "jsonl" writes irsim.jsonl under -out`)
+		out          = flag.String("out", "", "artifact directory for -emit jsonl")
+		telemAddr    = flag.String("telemetry", "", "serve live JSON metric snapshots on this HTTP address (e.g. :8080)")
+		epochs       = flag.Uint64("epochs", 0, "record an epoch snapshot every N issued paths (0 = off)")
+		flightOut    = flag.String("flight", "", "write a Chrome trace-event file of the run to this path")
 		flightSample = flag.Uint64("flight-sample", 1,
 			"with -flight: trace one in every N path accesses (1 = every access)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")

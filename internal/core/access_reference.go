@@ -3,7 +3,7 @@ package core
 import (
 	"iroram/internal/block"
 	"iroram/internal/dram"
-	"iroram/internal/stash"
+	"iroram/internal/tree"
 )
 
 // This file retains the pre-fusion, multi-walk shape of the path access as
@@ -19,47 +19,53 @@ import (
 // TestFusedPipelineMatchesReference drives whole workloads through each
 // and compares. Controller.refPipeline routes pathAccess here.
 
-// pathAccessReference is the multi-walk main-tree path access.
-func (c *Controller) pathAccessReference(now uint64, leaf block.Leaf, target block.ID,
+// pathAccessReference is the multi-walk path access, on either tree.
+func (c *Controller) pathAccessReference(t *pathTree, now uint64, leaf block.Leaf, target block.ID,
 	ptype block.PathType) (found bool, foundLevel int, done uint64) {
 	foundLevel = -1
-	if lvl, ok := c.tr.Find(target, leaf); ok {
+	if lvl, ok := t.tr.Find(target, leaf); ok {
 		foundLevel = lvl
 	}
 
 	// Read phase, per-address: rebuild the []dram.Access batch the way the
 	// pre-PR3 controller did and service it through the dram oracle.
-	c.physBuf = c.layout.PathPhys(leaf, c.physBuf[:0])
+	c.physBuf = t.layout.PathPhys(leaf, c.physBuf[:0])
 	c.accBuf = c.accBuf[:0]
 	for _, a := range c.physBuf {
-		c.accBuf = append(c.accBuf, dram.Access{Addr: a})
+		c.accBuf = append(c.accBuf, dram.Access{Addr: a + t.physOff})
 	}
 	readDone := c.mem.ServiceBatch(now, c.accBuf)
 	c.st.PhaseReadCycles += readDone - now
 
 	c.fetched.Reset()
-	c.readBuf = c.tr.ReadPath(leaf, c.readBuf[:0])
-	if c.top != nil {
-		c.readBuf = c.top.ReadPath(leaf, c.readBuf)
+	c.readBuf = t.tr.ReadPath(leaf, c.readBuf[:0])
+	if t.top != nil {
+		c.readBuf = t.top.ReadPath(leaf, c.readBuf)
 	}
 	for _, e := range c.readBuf {
-		c.fetched.Add(e.Addr)
+		if t.mig != nil {
+			c.fetched.Add(e.Addr)
+		}
 		if e.Addr == target {
 			found = true
 			continue
 		}
-		c.fstash.Insert(e)
+		t.fstash.Insert(e)
 	}
 	if !found {
 		foundLevel = -1
 	}
 
-	c.evictBuf = evictOntoPath(c.fstash, c.tr, c.top, c.o.Z, c.minLevel,
-		c.o.Levels, leaf, nil, c.evictList, c.evictBuf, c.placeMainRef, nil)
+	// Only the main tree charts the migration split (see pathTree.mig).
+	var onPlace func(tree.Entry, int, bool)
+	if t.mig != nil {
+		onPlace = c.placeMainRef
+	}
+	c.evictBuf = evictOntoPath(t, leaf, nil, c.evictList, c.evictBuf, onPlace, nil)
 
 	c.accBuf = c.accBuf[:0]
 	for _, a := range c.physBuf {
-		c.accBuf = append(c.accBuf, dram.Access{Addr: a, Write: true})
+		c.accBuf = append(c.accBuf, dram.Access{Addr: a + t.physOff, Write: true})
 	}
 	writeDone := c.mem.PostWrites(readDone, c.accBuf)
 	c.st.PhaseWriteBackCycles += writeDone - readDone
@@ -67,49 +73,9 @@ func (c *Controller) pathAccessReference(now uint64, leaf block.Leaf, target blo
 	c.st.Paths.Add(ptype, len(c.physBuf), len(c.physBuf))
 	done = readDone + c.o.OnChipLatency
 	c.st.PathLatency[ptype].Observe(done - now)
-	if c.st.RecordLeaves {
+	t.paths++
+	if c.st.RecordLeaves && t == &c.pathTree {
 		c.st.Leaves = append(c.st.Leaves, leaf)
 	}
 	return found, foundLevel, done
-}
-
-// rhoPathAccessReference is the multi-walk small-tree path access.
-func (c *Controller) rhoPathAccessReference(now uint64, leaf block.Leaf, target block.ID,
-	ptype block.PathType) (found bool, done uint64) {
-	r := c.rho
-	c.physBuf = r.layout.PathPhys(leaf, c.physBuf[:0])
-	c.accBuf = c.accBuf[:0]
-	for _, a := range c.physBuf {
-		c.accBuf = append(c.accBuf, dram.Access{Addr: a + r.physOff})
-	}
-	readDone := c.mem.ServiceBatch(now, c.accBuf)
-	c.st.PhaseReadCycles += readDone - now
-
-	c.readBuf = r.tr.ReadPath(leaf, c.readBuf[:0])
-	var top stash.TopStore // keep a nil *TopCache a nil interface
-	if r.top != nil {
-		top = r.top
-		c.readBuf = r.top.ReadPath(leaf, c.readBuf)
-	}
-	for _, e := range c.readBuf {
-		if e.Addr == target {
-			found = true
-			continue
-		}
-		r.fstash.Insert(e)
-	}
-	c.evictBuf = evictOntoPath(r.fstash, r.tr, top, r.o.Z, r.o.TopLevels,
-		r.o.Levels, leaf, nil, c.evictList, c.evictBuf, nil, nil)
-
-	c.accBuf = c.accBuf[:0]
-	for _, a := range c.physBuf {
-		c.accBuf = append(c.accBuf, dram.Access{Addr: a + r.physOff, Write: true})
-	}
-	writeDone := c.mem.PostWrites(readDone, c.accBuf)
-	c.st.PhaseWriteBackCycles += writeDone - readDone
-	c.st.Paths.Add(ptype, len(c.physBuf), len(c.physBuf))
-	done = readDone + c.o.OnChipLatency
-	c.st.PathLatency[ptype].Observe(done - now)
-	r.SmallPaths++
-	return found, done
 }

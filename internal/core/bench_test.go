@@ -39,8 +39,7 @@ func evictOp(tb testing.TB) func() {
 		for _, e := range c.readBuf {
 			c.fstash.Insert(e)
 		}
-		c.evictBuf = evictOntoPath(c.fstash, c.tr, c.top, c.o.Z, c.minLevel,
-			c.o.Levels, leaf, nil, c.evictList, c.evictBuf, nil, nil)
+		c.evictBuf = evictOntoPath(&c.pathTree, leaf, nil, c.evictList, c.evictBuf, nil, nil)
 	}
 }
 

@@ -51,8 +51,8 @@ func (c *Controller) ContextSwitch(now uint64) uint64 {
 		}
 		// The spill is a synchronous write (the switch waits for it), not
 		// a posted one; the reload reads the same blocks back.
-		done = c.mem.ServicePath(done, c.physBuf, 0, true)
-		done = c.mem.ServicePath(done, c.physBuf, 0, false)
+		done = c.mem.ServicePath(done, c.physBuf, true)
+		done = c.mem.ServicePath(done, c.physBuf, false)
 	}
 
 	c.st.ContextSwitches++

@@ -2,8 +2,6 @@ package core
 
 import (
 	"iroram/internal/block"
-	"iroram/internal/config"
-	"iroram/internal/stash"
 	"iroram/internal/tree"
 )
 
@@ -30,13 +28,13 @@ import (
 // change; both orders are deterministic, so tables remain byte-identical
 // across runs and -jobs values.
 
-// evictOntoPath drains fs onto the path of leaf: memory-resident levels
-// [minLevel, levels) are bulk-filled into tr, and — when top is non-nil —
-// the on-chip levels [0, minLevel) are filled per-entry through top.Fill,
-// honoring its refusals (S-Stash set conflicts, the paper's "skip picking
-// this block for this round" rule); refused blocks stay candidates for
-// shallower levels, exactly like the reference scan. Entries that fit
-// nowhere return to the stash.
+// evictOntoPath drains t's stash onto the path of leaf: memory-resident
+// levels [t.minLevel, levels) are bulk-filled into t.tr, and — when t.top
+// is non-nil — the on-chip levels [0, minLevel) are filled per-entry
+// through t.top.Fill, honoring its refusals (S-Stash set conflicts, the
+// paper's "skip picking this block for this round" rule); refused blocks
+// stay candidates for shallower levels, exactly like the reference scan.
+// Entries that fit nowhere return to the stash.
 //
 // placeCounts receives the aggregate placement tally of one write phase:
 // placed[l] blocks landed at level l, fetched[l] of which were gathered by
@@ -67,35 +65,21 @@ func (p *placeCounts) reset() {
 // the aggregate per-level tally instead; passing both is allowed but the
 // demand pipeline passes exactly one. The returned slice is buf's
 // (possibly grown) backing for the caller to keep.
-func evictOntoPath(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
-	z config.ZProfile, minLevel, levels int, leaf block.Leaf,
+func evictOntoPath(t *pathTree, leaf block.Leaf,
 	gathered []tree.Entry, lists [][]tree.Entry, buf []tree.Entry,
 	onPlace func(e tree.Entry, level int, fetched bool),
 	counts *placeCounts) []tree.Entry {
 
-	low := minLevel
-	if top != nil {
-		low = 0
-	}
-	for l := low; l < levels; l++ {
+	tr, top, z, minLevel, levels := t.tr, t.top, t.o.Z, t.minLevel, t.o.Levels
+	for l := 0; l < levels; l++ {
 		lists[l] = lists[l][:0]
 	}
 	// gathered holds the blocks the fused read walk just pulled off the
 	// path, kept out of the stash index because this drain would remove
 	// them again immediately; DrainForPath classifies them and the resident
-	// entries in the exact order Insert-then-TakeForPath would have. Every
-	// configured scheme has low == 0 (a tree-top store or minLevel 0), so
-	// the general TakeForPath branch only serves callers that pre-inserted
-	// (gathered == nil: the reference pipelines and the eviction tests).
-	if low == 0 {
-		fs.DrainForPath(leaf, levels, lists, gathered)
-	} else {
-		for _, e := range gathered {
-			e.Leaf &^= tree.GatherFlag
-			fs.Insert(e)
-		}
-		fs.TakeForPath(leaf, low, levels, lists)
-	}
+	// entries in the exact order Insert-then-drain would have. Every tree
+	// has a top store or minLevel 0, so the drain takes the whole stash.
+	t.fstash.DrainForPath(leaf, levels, lists, gathered)
 
 	// The candidate pool for the current level is the entries whose deepest
 	// placeable level was at or below it but which did not fit deeper. Pool
@@ -194,7 +178,7 @@ func evictOntoPath(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 	}
 	for _, e := range buf {
 		e.Leaf &^= tree.GatherFlag
-		fs.Insert(e)
+		t.fstash.Insert(e)
 	}
 	return buf[:0]
 }
@@ -209,10 +193,11 @@ func evictOntoPath(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 // Reference entries are never flagged (its callers pre-Insert gathered
 // blocks into the stash), so it reports fetched=false and its onPlace
 // adapters derive the migration split from a membership set instead.
-func evictOntoPathReference(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
-	z config.ZProfile, minLevel, levels int, leaf block.Leaf,
+func evictOntoPathReference(t *pathTree, leaf block.Leaf,
 	refused *epochSet, takeBuf []tree.Entry,
 	onPlace func(e tree.Entry, level int, fetched bool)) {
+
+	fs, tr, top, z, minLevel, levels := t.fstash, t.tr, t.top, t.o.Z, t.minLevel, t.o.Levels
 
 	for l := levels - 1; l >= minLevel; l-- {
 		take := fs.TakeForBucket(leaf, l, levels, z[l], nil, takeBuf[:0])

@@ -11,6 +11,19 @@ import (
 	"iroram/internal/tree"
 )
 
+// shadowTree snapshots c's main tree for an eviction oracle: the F-Stash
+// cloned in storage order, and fresh, empty tree/top structures standing in
+// for the just-drained path buckets.
+func shadowTree(c *Controller) *pathTree {
+	s := &pathTree{o: c.o, minLevel: c.minLevel, tr: tree.New(c.o, c.minLevel),
+		fstash: stash.NewFStash(c.fstash.Capacity())}
+	c.fstash.Each(func(e tree.Entry) { s.fstash.Insert(e) })
+	if c.top != nil {
+		s.top = stash.NewTopCache(c.o.Levels, c.o.TopLevels, c.o.Z)
+	}
+	return s
+}
+
 // TestEvictionDifferential replays every write phase of a long randomized
 // workload through both eviction implementations and checks that they agree
 // on the one property the experiments depend on: how MANY blocks land at
@@ -68,18 +81,11 @@ func TestEvictionDifferential(t *testing.T) {
 				}
 
 				// Snapshot for the oracle, preserving storage order.
-				shadow := stash.NewFStash(c.fstash.Capacity())
-				c.fstash.Each(func(e tree.Entry) { shadow.Insert(e) })
-				shadowTr := tree.New(c.o, c.minLevel)
-				var shadowTop stash.TopStore
-				if c.top != nil {
-					shadowTop = stash.NewTopCache(c.o.Levels, c.o.TopLevels, c.o.Z)
-				}
+				shadow := shadowTree(c)
 
 				clear(liveCounts)
 				clear(refCounts)
-				c.evictBuf = evictOntoPath(c.fstash, c.tr, c.top, c.o.Z,
-					c.minLevel, c.o.Levels, leaf, nil, c.evictList, c.evictBuf,
+				c.evictBuf = evictOntoPath(&c.pathTree, leaf, nil, c.evictList, c.evictBuf,
 					func(e tree.Entry, l int, _ bool) {
 						liveCounts[l]++
 						if !tree.SameSubtree(leaf, e.Leaf, l, c.o.Levels) {
@@ -87,8 +93,7 @@ func TestEvictionDifferential(t *testing.T) {
 								i, e.Addr, e.Leaf, l, leaf)
 						}
 					}, nil)
-				evictOntoPathReference(shadow, shadowTr, shadowTop, c.o.Z,
-					c.minLevel, c.o.Levels, leaf, refused, takeBuf,
+				evictOntoPathReference(shadow, leaf, refused, takeBuf,
 					func(e tree.Entry, l int, _ bool) { refCounts[l]++ })
 
 				for l := range liveCounts {
@@ -101,10 +106,10 @@ func TestEvictionDifferential(t *testing.T) {
 							i, liveCounts[l], l, c.o.Z[l])
 					}
 				}
-				if got, want := c.fstash.Len(), shadow.Len(); got != want {
+				if got, want := c.fstash.Len(), shadow.fstash.Len(); got != want {
 					t.Fatalf("access %d: stash residue diverges: single-pass %d, reference %d", i, got, want)
 				}
-				c.mem.PostWritePath(now, c.layout.PathPhys(leaf, c.physBuf[:0]), 0)
+				c.mem.PostWritePath(now, c.layout.PathPhys(leaf, c.physBuf[:0]))
 
 				if i%500 == 0 {
 					if err := c.CheckInvariants(); err != nil {
@@ -181,36 +186,23 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 
 				// Oracle state: the resident stash in storage order, then the
 				// gathered blocks appended unflagged — the pre-fused shape.
-				shadow := stash.NewFStash(c.fstash.Capacity())
-				c.fstash.Each(func(e tree.Entry) { shadow.Insert(e) })
+				shadow := shadowTree(c)
 				for _, e := range c.gathered {
 					e.Leaf &^= tree.GatherFlag
-					shadow.Insert(e)
-				}
-				shadowTr := tree.New(c.o, c.minLevel)
-				var shadowTop stash.TopStore
-				if c.top != nil {
-					shadowTop = stash.NewTopCache(c.o.Levels, c.o.TopLevels, c.o.Z)
+					shadow.fstash.Insert(e)
 				}
 
 				// Replay state for the bulk-tally convention: the same inputs
 				// the live call is about to consume (resident stash clone in
 				// storage order, flagged gathered copy, freshly-drained path
 				// buckets), snapshotted before the live call mutates them.
-				shadow2 := stash.NewFStash(c.fstash.Capacity())
-				c.fstash.Each(func(e tree.Entry) { shadow2.Insert(e) })
+				shadow2 := shadowTree(c)
 				gathered2 = append(gathered2[:0], c.gathered...)
-				shadowTr2 := tree.New(c.o, c.minLevel)
-				var shadowTop2 stash.TopStore
-				if c.top != nil {
-					shadowTop2 = stash.NewTopCache(c.o.Levels, c.o.TopLevels, c.o.Z)
-				}
 
 				clear(liveCounts)
 				clear(liveFetched)
 				clear(refCounts)
-				c.evictBuf = evictOntoPath(c.fstash, c.tr, c.top, c.o.Z,
-					c.minLevel, c.o.Levels, leaf, c.gathered, c.evictList, c.evictBuf,
+				c.evictBuf = evictOntoPath(&c.pathTree, leaf, c.gathered, c.evictList, c.evictBuf,
 					func(e tree.Entry, l int, fetched bool) {
 						liveCounts[l]++
 						if fetched {
@@ -230,20 +222,17 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 				// selection is deterministic in the inputs, so the tallies must
 				// equal the closure-derived ones exactly.
 				bulk.reset()
-				bulkBuf = evictOntoPath(shadow2, shadowTr2, shadowTop2, c.o.Z,
-					c.minLevel, c.o.Levels, leaf, gathered2, c.evictList, bulkBuf,
-					nil, bulk)
+				bulkBuf = evictOntoPath(shadow2, leaf, gathered2, c.evictList, bulkBuf, nil, bulk)
 				for l := 0; l < c.o.Levels; l++ {
 					if bulk.placed[l] != liveCounts[l] || bulk.fetched[l] != liveFetched[l] {
 						t.Fatalf("access %d level %d: bulk tally (placed %d, fetched %d), closure (placed %d, fetched %d)",
 							i, l, bulk.placed[l], bulk.fetched[l], liveCounts[l], liveFetched[l])
 					}
 				}
-				if got, want := shadow2.Len(), c.fstash.Len(); got != want {
+				if got, want := shadow2.fstash.Len(), c.fstash.Len(); got != want {
 					t.Fatalf("access %d: bulk-replay stash residue %d, live %d", i, got, want)
 				}
-				evictOntoPathReference(shadow, shadowTr, shadowTop, c.o.Z,
-					c.minLevel, c.o.Levels, leaf, refused, takeBuf,
+				evictOntoPathReference(shadow, leaf, refused, takeBuf,
 					func(e tree.Entry, l int, _ bool) { refCounts[l]++ })
 
 				for l := range liveCounts {
@@ -252,7 +241,7 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 							i, leaf, l, liveCounts, refCounts)
 					}
 				}
-				if got, want := c.fstash.Len(), shadow.Len(); got != want {
+				if got, want := c.fstash.Len(), shadow.fstash.Len(); got != want {
 					t.Fatalf("access %d: stash residue diverges: fused %d, reference %d", i, got, want)
 				}
 				c.fstash.Each(func(e tree.Entry) {
@@ -260,7 +249,7 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 						t.Fatalf("access %d: flag leaked into stash residue on %v", i, e.Addr)
 					}
 				})
-				c.mem.PostWritePath(now, c.layout.PathPhys(leaf, c.physBuf[:0]), 0)
+				c.mem.PostWritePath(now, c.layout.PathPhys(leaf, c.physBuf[:0]))
 
 				if i%500 == 0 {
 					if err := c.CheckInvariants(); err != nil {
@@ -278,12 +267,14 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 // TestPathAccessZeroAllocs pins the zero-allocation guarantee: after
 // warm-up, a steady-state demand access (including its PosMap recursion,
 // eviction and DRAM traffic) performs no heap allocations (`make
-// alloccheck`).
+// alloccheck`). Rho covers the small tree's path accesses, Ring its
+// one-block-per-bucket reads and eviction paths.
 func TestPathAccessZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race instrumentation")
 	}
-	for _, sch := range []config.Scheme{config.Baseline(), config.IROramScheme()} {
+	for _, sch := range []config.Scheme{config.Baseline(), config.IROramScheme(),
+		config.RhoScheme(), config.RingScheme()} {
 		sch := sch
 		t.Run(sch.Name, func(t *testing.T) {
 			cfg := config.Tiny().WithScheme(sch)

@@ -79,7 +79,7 @@ func pipelineSystem(t *testing.T, sch config.Scheme, ref bool) (*Issuer, *Contro
 // comparePipelines drives two systems through the same workload in
 // lockstep and fails on the first divergence in completion times, then on
 // any difference in statistics, DRAM state, stash contents (including
-// storage order, which is behavior-visible through TakeForPath), or tree
+// storage order, which is behavior-visible through DrainForPath), or tree
 // occupancy.
 func comparePipelines(t *testing.T, label string, isA, isB *Issuer, cA, cB *Controller) {
 	t.Helper()
@@ -165,8 +165,8 @@ func comparePipelines(t *testing.T, label string, isA, isB *Issuer, cA, cB *Cont
 		}
 	}
 	if cA.rho != nil {
-		if cA.rho.SmallPaths != cB.rho.SmallPaths {
-			t.Fatalf("%s: rho small paths %d vs %d", label, cA.rho.SmallPaths, cB.rho.SmallPaths)
+		if cA.rho.paths != cB.rho.paths {
+			t.Fatalf("%s: rho small paths %d vs %d", label, cA.rho.paths, cB.rho.paths)
 		}
 		if oa, ob := cA.rho.occupied(), cB.rho.occupied(); oa != ob {
 			t.Fatalf("%s: rho occupancy %d vs %d", label, oa, ob)

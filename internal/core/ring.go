@@ -99,7 +99,7 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 		}
 	}
 	reads := len(c.physBuf)
-	readDone := c.mem.ServicePath(now, c.physBuf, 0, false)
+	readDone := c.mem.ServicePath(now, c.physBuf, false)
 	c.st.PhaseReadCycles += readDone - now
 	if targetLevel >= 0 {
 		if !c.tr.Remove(target, leaf) {
@@ -110,7 +110,7 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 	// Reshuffle writes and nothing else; posted like Path ORAM's write
 	// phase.
 	if writes > 0 {
-		c.mem.PostWritePath(readDone, c.leafRun(leaf, writes), 0)
+		c.mem.PostWritePath(readDone, c.leafRun(leaf, writes))
 	}
 	c.st.Paths.Add(ptype, reads, writes)
 	if c.st.RecordLeaves {
@@ -142,13 +142,13 @@ func (c *Controller) ringEvictPath(now uint64) uint64 {
 	// The eviction path moves Z+S blocks per bucket in both directions;
 	// account the dummy slots on top of what pathAccess charges (Z each
 	// way) so the traffic matches the protocol.
-	_, _, done := c.pathAccess(now, leaf, block.Invalid, block.PathEvict)
+	_, _, done := c.pathAccess(&c.pathTree, now, leaf, block.Invalid, block.PathEvict)
 	extra := (c.o.Levels - c.minLevel) * r.s
 	c.st.Paths.BlocksRead += uint64(extra)
 	c.st.Paths.BlocksWrit += uint64(extra)
 	phys := c.leafRun(leaf, extra)
-	done = c.mem.ServicePath(done, phys, 0, false)
-	c.mem.PostWritePath(done, phys, 0)
+	done = c.mem.ServicePath(done, phys, false)
+	c.mem.PostWritePath(done, phys)
 	// Replenish dummies along the path.
 	for l := c.minLevel; l < c.o.Levels; l++ {
 		r.dummyLeft[r.bucket(c.o.Levels, l, leaf)] = uint8(r.s)

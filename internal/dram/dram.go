@@ -201,17 +201,16 @@ func (m *Model) ServiceBatch(now uint64, accs []Access) uint64 {
 // ServicePath services one path phase given the physical block addresses
 // directly — the zero-copy twin of ServiceBatch for the controller hot path,
 // which holds the path as a []uint64 (tree.Layout.PathPhys) and would
-// otherwise rebuild an []Access per phase. Every address is offset by off
-// (the tree's physical base; 0 for the main tree) and serviced in the given
-// direction. Timing, statistics and channel-state evolution are identical
+// otherwise rebuild an []Access per phase. Every address is serviced in
+// the given direction. Timing, statistics and channel-state evolution are identical
 // to ServiceBatch on the equivalent []Access; internally the phase is
 // serviced in run-length form (AppendRuns + ServiceRuns) rather than
 // address by address.
-func (m *Model) ServicePath(now uint64, phys []uint64, off uint64, write bool) uint64 {
+func (m *Model) ServicePath(now uint64, phys []uint64, write bool) uint64 {
 	if len(phys) == 0 {
 		return now
 	}
-	m.runScratch = m.AppendRuns(phys, off, m.runScratch[:0])
+	m.runScratch = m.AppendRuns(phys, 0, m.runScratch[:0])
 	return m.ServiceRuns(now, m.runScratch, write)
 }
 
@@ -286,11 +285,11 @@ func (m *Model) PostWrites(now uint64, accs []Access) uint64 {
 }
 
 // PostWritePath posts one path-sized write phase given the physical block
-// addresses directly (offset by off), the zero-copy twin of PostWrites —
+// addresses directly, the zero-copy twin of PostWrites —
 // same drain semantics, no []Access rebuild. Posted writes only occupy
 // channel buses, so the run-length form degenerates to one per-channel
 // access count: the drain is O(channels) regardless of path length.
-func (m *Model) PostWritePath(now uint64, phys []uint64, off uint64) uint64 {
+func (m *Model) PostWritePath(now uint64, phys []uint64) uint64 {
 	if len(phys) == 0 {
 		return now
 	}
@@ -299,7 +298,7 @@ func (m *Model) PostWritePath(now uint64, phys []uint64, off uint64) uint64 {
 	}
 	nCh := uint64(m.cfg.Channels)
 	for _, a := range phys {
-		m.chCount[(a+off)%nCh]++
+		m.chCount[a%nCh]++
 	}
 	return m.drainCounts(now)
 }

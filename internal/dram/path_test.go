@@ -27,16 +27,16 @@ func TestServicePathMatchesServiceBatch(t *testing.T) {
 		accs := make([]Access, n)
 		write := r.Uint64n(4) == 0
 		for i := range phys {
-			phys[i] = r.Uint64n(1 << 20)
-			accs[i] = Access{Addr: phys[i] + off, Write: write}
+			phys[i] = r.Uint64n(1<<20) + off
+			accs[i] = Access{Addr: phys[i], Write: write}
 		}
 		dBatch := batch.ServiceBatch(now, accs)
-		dPath := path.ServicePath(now, phys, off, write)
+		dPath := path.ServicePath(now, phys, write)
 		if dBatch != dPath {
 			t.Fatalf("iter %d: service time diverges: batch %d, path %d", iter, dBatch, dPath)
 		}
 		pBatch := batch.PostWrites(dBatch, accs)
-		pPath := path.PostWritePath(dPath, phys, off)
+		pPath := path.PostWritePath(dPath, phys)
 		if pBatch != pPath {
 			t.Fatalf("iter %d: post-write drain diverges: batch %d, path %d", iter, pBatch, pPath)
 		}
@@ -54,10 +54,10 @@ func TestServicePathMatchesServiceBatch(t *testing.T) {
 // TestServicePathEmpty pins the no-op contract shared with ServiceBatch.
 func TestServicePathEmpty(t *testing.T) {
 	m := New(config.Scaled().DRAM)
-	if got := m.ServicePath(42, nil, 0, false); got != 42 {
+	if got := m.ServicePath(42, nil, false); got != 42 {
 		t.Fatalf("empty ServicePath = %d, want 42", got)
 	}
-	if got := m.PostWritePath(42, nil, 0); got != 42 {
+	if got := m.PostWritePath(42, nil); got != 42 {
 		t.Fatalf("empty PostWritePath = %d, want 42", got)
 	}
 	if m.Stats() != (Stats{}) {
@@ -99,6 +99,6 @@ func BenchmarkServicePath(b *testing.B) {
 	b.ResetTimer()
 	var now uint64
 	for i := 0; i < b.N; i++ {
-		now = m.ServicePath(now, phys, 0, false)
+		now = m.ServicePath(now, phys, false)
 	}
 }

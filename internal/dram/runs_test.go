@@ -34,26 +34,26 @@ func oddGeomCfg() config.DRAM {
 
 // expand converts a physical address list into the per-address oracle's
 // input form.
-func expand(phys []uint64, off uint64, write bool) []Access {
+func expand(phys []uint64, write bool) []Access {
 	accs := make([]Access, len(phys))
 	for i, a := range phys {
-		accs[i] = Access{Addr: a + off, Write: write}
+		accs[i] = Access{Addr: a, Write: write}
 	}
 	return accs
 }
 
 // diffStep services one phase on both models — runs on one, per-address on
 // the other — and fails on any divergence in completion time.
-func diffStep(t *testing.T, iter int, runs, oracle *Model, now uint64, phys []uint64, off uint64, write bool) uint64 {
+func diffStep(t *testing.T, iter int, runs, oracle *Model, now uint64, phys []uint64, write bool) uint64 {
 	t.Helper()
-	dRuns := runs.ServicePath(now, phys, off, write)
-	dOracle := oracle.ServiceBatch(now, expand(phys, off, write))
+	dRuns := runs.ServicePath(now, phys, write)
+	dOracle := oracle.ServiceBatch(now, expand(phys, write))
 	if dRuns != dOracle {
 		t.Fatalf("iter %d: service time diverges: run-length %d, per-address %d",
 			iter, dRuns, dOracle)
 	}
-	pRuns := runs.PostWritePath(dRuns, phys, off)
-	pOracle := oracle.PostWrites(dOracle, expand(phys, off, false))
+	pRuns := runs.PostWritePath(dRuns, phys)
+	pOracle := oracle.PostWrites(dOracle, expand(phys, false))
 	if pRuns != pOracle {
 		t.Fatalf("iter %d: post-write drain diverges: run-length %d, per-address %d",
 			iter, pRuns, pOracle)
@@ -100,9 +100,13 @@ func TestRunLengthDifferentialRandom(t *testing.T) {
 				for i := range phys {
 					phys[i] = r.Uint64n(tc.span)
 				}
+				// A tree's physical base offsets its whole path.
 				off := r.Uint64n(1 << 16)
+				for i := range phys {
+					phys[i] += off
+				}
 				write := r.Uint64n(4) == 0
-				done := diffStep(t, iter, runs, oracle, now, phys, off, write)
+				done := diffStep(t, iter, runs, oracle, now, phys, write)
 				now = done + r.Uint64n(1500)
 			}
 			diffState(t, runs, oracle)
@@ -132,7 +136,7 @@ func TestRunLengthDifferentialPathLike(t *testing.T) {
 			}
 			base += uint64(stretch) + r.Uint64n(1<<18)
 		}
-		done := diffStep(t, iter, runs, oracle, now, phys, 0, iter%5 == 0)
+		done := diffStep(t, iter, runs, oracle, now, phys, iter%5 == 0)
 		now = done + r.Uint64n(800)
 	}
 	diffState(t, runs, oracle)
@@ -151,7 +155,7 @@ func TestRunRowBoundaryMidBucket(t *testing.T) {
 	phys := []uint64{4, 5, 6, 7, 8, 9}
 	runs := New(cfg)
 	oracle := New(cfg)
-	diffStep(t, 0, runs, oracle, 0, phys, 0, false)
+	diffStep(t, 0, runs, oracle, 0, phys, false)
 	diffState(t, runs, oracle)
 	st := runs.Stats()
 	// Read phase: channel 0 sees 4,6 (bank 0 row 0: miss+hit) then 8
@@ -162,7 +166,7 @@ func TestRunRowBoundaryMidBucket(t *testing.T) {
 	}
 	// Re-reading the same bucket finds every row still open — and must again
 	// time out identically in both implementations.
-	diffStep(t, 1, runs, oracle, runs.FreeAt(), phys, 0, false)
+	diffStep(t, 1, runs, oracle, runs.FreeAt(), phys, false)
 	diffState(t, runs, oracle)
 	if st2 := runs.Stats(); st2.RowMisses != st.RowMisses {
 		t.Fatalf("re-read missed rows: %d misses, want %d", st2.RowMisses, st.RowMisses)
@@ -183,9 +187,9 @@ func TestRunBankConflictWrap(t *testing.T) {
 	second := []uint64{16, 17, 18, 19, 20, 21, 22, 23}
 	runs := New(cfg)
 	oracle := New(cfg)
-	done := diffStep(t, 0, runs, oracle, 0, first, 0, false)
+	done := diffStep(t, 0, runs, oracle, 0, first, false)
 	firstMisses := runs.Stats().RowMisses
-	diffStep(t, 1, runs, oracle, done, second, 0, true)
+	diffStep(t, 1, runs, oracle, done, second, true)
 	diffState(t, runs, oracle)
 	st := runs.Stats()
 	// First phase: one cold open of bank 0 per channel. Second phase: one
@@ -212,7 +216,7 @@ func TestPathServiceBoundDominatesRunLength(t *testing.T) {
 		m := New(sys.DRAM) // idle, cold rows — the bound's premise
 		leaf := block.Leaf(r.Uint64n(sys.ORAM.LeafCount()))
 		phys = layout.PathPhys(leaf, phys[:0])
-		took := m.ServicePath(0, phys, 0, iter%2 == 0)
+		took := m.ServicePath(0, phys, iter%2 == 0)
 		if bound := m.PathServiceBound(len(phys)); took > bound {
 			t.Fatalf("iter %d leaf %d: run-length service of %d blocks took %d cycles, bound %d",
 				iter, leaf, len(phys), took, bound)
@@ -232,24 +236,27 @@ func TestPathSchedMemoization(t *testing.T) {
 	sched := cached.NewPathSched(64, maxRuns, off)
 
 	r := rng.New(7)
-	paths := make(map[uint64][]uint64)
+	// paths holds each leaf's tree-relative addresses (what Install takes)
+	// and, for the fresh model, the same addresses shifted by the tree base.
+	paths := make(map[uint64][2][]uint64)
 	now := uint64(0)
 	for iter := 0; iter < 500; iter++ {
 		leaf := r.Uint64n(200) // small leaf space: plenty of repeats + collisions
-		phys, ok := paths[leaf]
+		p, ok := paths[leaf]
 		if !ok {
-			phys = make([]uint64, maxRuns)
-			for i := range phys {
-				phys[i] = r.Uint64n(1 << 20)
+			p = [2][]uint64{make([]uint64, maxRuns), make([]uint64, maxRuns)}
+			for i := range p[0] {
+				p[0][i] = r.Uint64n(1 << 20)
+				p[1][i] = p[0][i] + off
 			}
-			paths[leaf] = phys
+			paths[leaf] = p
 		}
 		rs, hit := sched.Lookup(leaf)
 		if !hit {
-			rs = sched.Install(leaf, phys)
+			rs = sched.Install(leaf, p[0])
 		}
 		dCached := cached.ServiceRuns(now, rs, false)
-		dFresh := fresh.ServicePath(now, phys, off, false)
+		dFresh := fresh.ServicePath(now, p[1], false)
 		if dCached != dFresh {
 			t.Fatalf("iter %d leaf %d (hit=%v): cached %d, fresh %d", iter, leaf, hit, dCached, dFresh)
 		}

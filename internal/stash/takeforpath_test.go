@@ -8,9 +8,9 @@ import (
 	"iroram/internal/tree"
 )
 
-// TestTakeForPathClassifies checks the single-pass scan against the
-// definition: every entry placeable at lowLevel or deeper is removed and
-// filed under exactly its deepest placeable level; shallower entries stay.
+// TestTakeForPathClassifies checks the single-pass drain against the
+// definition: every stashed entry is removed and filed under exactly its
+// deepest placeable level on the path, and nothing is lost.
 func TestTakeForPathClassifies(t *testing.T) {
 	const levels = 6
 	leaves := uint64(1) << (levels - 1)
@@ -18,17 +18,13 @@ func TestTakeForPathClassifies(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		s := NewFStash(64)
 		n := int(r.Uint64n(40))
-		entries := make([]tree.Entry, 0, n)
 		for i := 0; i < n; i++ {
-			e := tree.Entry{Addr: block.ID(i), Leaf: block.Leaf(r.Uint64n(leaves))}
-			entries = append(entries, e)
-			s.Insert(e)
+			s.Insert(tree.Entry{Addr: block.ID(i), Leaf: block.Leaf(r.Uint64n(leaves))})
 		}
 		pathLeaf := block.Leaf(r.Uint64n(leaves))
-		lowLevel := int(r.Uint64n(levels))
 
 		perLevel := make([][]tree.Entry, levels)
-		s.TakeForPath(pathLeaf, lowLevel, levels, perLevel)
+		s.DrainForPath(pathLeaf, levels, perLevel, nil)
 
 		taken := 0
 		for l, list := range perLevel {
@@ -38,24 +34,13 @@ func TestTakeForPathClassifies(t *testing.T) {
 					t.Fatalf("entry %v (leaf %d) filed at level %d, deepest placeable is %d",
 						e.Addr, e.Leaf, l, d)
 				}
-				if l < lowLevel {
-					t.Fatalf("entry %v filed below lowLevel %d", e.Addr, lowLevel)
-				}
 				if _, still := s.Lookup(e.Addr); still {
 					t.Fatalf("taken entry %v still stashed", e.Addr)
 				}
 			}
 		}
-		for _, e := range entries {
-			if d := tree.DeepestLevel(pathLeaf, e.Leaf, levels); d < lowLevel {
-				if _, still := s.Lookup(e.Addr); !still {
-					t.Fatalf("unplaceable entry %v (deepest %d < lowLevel %d) was removed",
-						e.Addr, d, lowLevel)
-				}
-			}
-		}
-		if taken+s.Len() != n {
-			t.Fatalf("entries lost: took %d, %d remain, started with %d", taken, s.Len(), n)
+		if taken != n || s.Len() != 0 {
+			t.Fatalf("took %d of %d entries, %d remain stashed", taken, n, s.Len())
 		}
 	}
 }
@@ -70,7 +55,7 @@ func TestTakeForPathReusesLists(t *testing.T) {
 	perLevel := make([][]tree.Entry, levels)
 	perLevel[levels-1] = append(perLevel[levels-1], tree.Entry{Addr: 99, Leaf: 0})
 	perLevel[levels-1] = perLevel[levels-1][:0] // caller reset, stale backing
-	s.TakeForPath(7, 0, levels, perLevel)
+	s.DrainForPath(7, levels, perLevel, nil)
 	if len(perLevel[levels-1]) != 1 || perLevel[levels-1][0].Addr != 1 {
 		t.Fatalf("perLevel[leaf] = %v, want exactly block 1", perLevel[levels-1])
 	}
