@@ -9,9 +9,10 @@
 #   make race        full tree under the race detector (the parallel
 #                    experiment engine must stay race-clean)
 #   make alloccheck  gate: the steady-state hot paths (path access, evict,
-#                    tree walk, tree-top find, LLC access, DWB scan,
-#                    histogram observe, fully-traced flight access) must not
-#                    allocate (the *ZeroAllocs tests)
+#                    tree walk, tree-top find, IR-Stash lookup through its
+#                    MD5 set index, LLC access, DWB scan, histogram observe,
+#                    fully-traced flight access) must not allocate (the
+#                    *ZeroAllocs tests)
 #   make docscheck   gate: exported facade/metrics identifiers must carry doc
 #                    comments, and docs/METRICS.md must match the metrics
 #                    registry's self-description both ways
@@ -21,6 +22,9 @@
 #                    per-package hot-path microbenchmarks
 #   make flightcheck trace a quick fig10 run, validate it with flightstat,
 #                    and diff the trace bytes across -jobs 1 and -jobs 4
+#   make fuzz        fuzz the trace readers (Read, ReadText) for 10 s each
+#                    from the seed corpora in internal/trace/testdata/fuzz/,
+#                    which plain `go test` replays; not part of make check
 #   make profile     CPU+heap profile of a quick fig10 regeneration
 #   make profile-top profile, then print the top 25 flat-cost functions
 #
@@ -28,7 +32,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet test race alloccheck docscheck check bench flightcheck profile profile-top
+.PHONY: build fmt vet test race alloccheck docscheck check bench flightcheck fuzz profile profile-top
 
 build:
 	$(GO) build ./...
@@ -65,6 +69,10 @@ flightcheck:
 	diff -r flight-j4 flight-j1
 	$(GO) run ./cmd/flightstat flight-j4/fig10.trace.json
 	rm -r flight-j4 flight-j1
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime 10s ./internal/trace
 
 profile:
 	$(GO) run ./cmd/experiments -fig fig10 -quick -progress=false \

@@ -14,8 +14,8 @@ import (
 // Since PR 4 the search itself is a word-wise scan of the cache's per-set
 // summary bitmaps (see Cache.EnableLRUTracking) instead of an O(sets)
 // set-by-set sweep: the candidate returned, the cursor advance and the
-// pause/restart behavior are identical to the historical sweep, which is
-// retained below (findCandidateSweep) as the differential-test oracle.
+// pause/restart behavior are identical to the historical sweep, which
+// dwb_test.go keeps (findCandidateSweep) as the differential-test oracle.
 type DWBScanner struct {
 	c          *Cache
 	cursor     int
@@ -117,34 +117,5 @@ func scanBitmapFrom(bm []uint64, from int) (int, bool) {
 			return w<<6 | bits.TrailingZeros64(word), true
 		}
 	}
-	return 0, false
-}
-
-// findCandidateSweep is the historical O(sets) implementation, retained
-// verbatim (modulo the restart validation) as the oracle for
-// TestDWBScannerDifferential: state transitions must match FindCandidate's
-// exactly on any cache/op sequence.
-func (s *DWBScanner) findCandidateSweep(now uint64) (addr uint64, ok bool) {
-	if now < s.pauseUntil {
-		return 0, false
-	}
-	for i := 0; i < s.c.Sets(); i++ {
-		si := (s.cursor + i) % s.c.Sets()
-		var a uint64
-		var ok bool
-		if s.anyLRU {
-			a, ok = s.c.LRU(si)
-		} else {
-			a, ok = s.c.DirtyLRU(si)
-		}
-		if ok {
-			s.cursor = (si + 1) % s.c.Sets()
-			s.Found++
-			return a, true
-		}
-	}
-	s.EmptySweeps++
-	s.pauseUntil = now + scanPause
-	s.cursor = s.restartSet()
 	return 0, false
 }

@@ -34,14 +34,27 @@ type IRStash struct {
 	// tt[node] holds up to Z(level) pointers into slots; -1 means empty.
 	tt       [][]int32
 	occupied []uint64
+	// setMemo caches setOf: a direct-mapped table indexed by the low
+	// address bits and tagged by the full address, holding set+1 so the
+	// zero entry means empty. The eviction write phase retries every
+	// leftover stash block at each top level, so most MD5s repeat; a slot
+	// collision only costs a recomputation.
+	setMemo []setMemoEntry
 	// Conflicts counts Fill refusals due to S-Stash set conflicts.
 	Conflicts uint64
 }
 
+type setMemoEntry struct {
+	addr block.ID
+	set  uint32 // set+1; 0 marks an empty entry
+}
+
+// setMemoSize is the entry count of IRStash.setMemo (a power of two; 1 MiB).
+const setMemoSize = 1 << 16
+
 type sslot struct {
 	addr  block.ID
 	leaf  block.Leaf
-	node  int32 // owning TT bucket, for reverse removal
 	valid bool
 }
 
@@ -69,6 +82,7 @@ func NewIRStash(levels, topLevels int, z []int, ways int) *IRStash {
 		slots:     make([]sslot, sets*ways),
 		tt:        make([][]int32, 1<<uint(topLevels)),
 		occupied:  make([]uint64, topLevels),
+		setMemo:   make([]setMemoEntry, setMemoSize),
 	}
 	for n := range s.tt {
 		level := levelOfNode(n)
@@ -95,12 +109,19 @@ func levelOfNode(n int) int {
 	return l
 }
 
-// setOf hashes addr with MD5 and maps it to an S-Stash set.
+// setOf hashes addr with MD5 and maps it to an S-Stash set, memoized per
+// address in setMemo.
 func (s *IRStash) setOf(addr block.ID) int {
+	m := &s.setMemo[uint64(addr)&(setMemoSize-1)]
+	if m.set != 0 && m.addr == addr {
+		return int(m.set - 1)
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(addr))
 	sum := md5.Sum(buf[:])
-	return int(binary.LittleEndian.Uint64(sum[:8]) % uint64(s.sets))
+	set := int(binary.LittleEndian.Uint64(sum[:8]) % uint64(s.sets))
+	*m = setMemoEntry{addr: addr, set: uint32(set) + 1}
+	return set
 }
 
 func (s *IRStash) node(level int, leaf block.Leaf) int {
@@ -178,7 +199,7 @@ func (s *IRStash) Fill(level int, leaf block.Leaf, e tree.Entry) bool {
 	base := s.setOf(e.Addr) * s.ways
 	for w := 0; w < s.ways; w++ {
 		if sl := &s.slots[base+w]; !sl.valid {
-			*sl = sslot{addr: e.Addr, leaf: e.Leaf, node: int32(n), valid: true}
+			*sl = sslot{addr: e.Addr, leaf: e.Leaf, valid: true}
 			s.tt[n][ptrIdx] = int32(base + w)
 			s.occupied[level]++
 			return true
@@ -212,27 +233,6 @@ func (s *IRStash) Remove(addr block.ID, leaf block.Leaf) bool {
 				s.occupied[l]--
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// RemoveByAddr deletes addr found through the address index (used when an
-// S-Stash-resident block is invalidated, e.g. by LLC-D takeover).
-func (s *IRStash) RemoveByAddr(addr block.ID) bool {
-	base := s.setOf(addr) * s.ways
-	for w := 0; w < s.ways; w++ {
-		sl := &s.slots[base+w]
-		if sl.valid && sl.addr == addr {
-			for i, ptr := range s.tt[sl.node] {
-				if ptr == int32(base+w) {
-					s.tt[sl.node][i] = -1
-					break
-				}
-			}
-			s.occupied[levelOfNode(int(sl.node))]--
-			sl.valid = false
-			return true
 		}
 	}
 	return false

@@ -1,10 +1,13 @@
 package stash
 
 import (
+	"crypto/md5"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"iroram/internal/block"
+	"iroram/internal/config"
 	"iroram/internal/rng"
 	"iroram/internal/tree"
 )
@@ -228,11 +231,52 @@ func TestIRStashAddrIndex(t *testing.T) {
 	if _, ok := s.LookupByAddr(78); ok {
 		t.Error("phantom hit")
 	}
-	if !s.RemoveByAddr(77) || s.RemoveByAddr(77) {
-		t.Error("RemoveByAddr semantics wrong")
-	}
-	if _, ok := s.Find(77, leaf); ok {
-		t.Error("TT still points at removed block")
+}
+
+// TestIRStashSetOfMatchesMD5 is the differential oracle for setOf's memo:
+// at the Tiny and Table I IR-ORAM geometries, every memoized set index must
+// equal a fresh MD5 of the address, for random addresses up to 2^40,
+// interleaved with addresses that share a memo slot and with repeats.
+func TestIRStashSetOfMatchesMD5(t *testing.T) {
+	for _, g := range []struct {
+		name string
+		sys  config.System
+	}{
+		{"tiny", config.Tiny().WithScheme(config.IROramScheme())},
+		{"table-i", config.Paper().WithScheme(config.IROramScheme())},
+	} {
+		o := g.sys.ORAM
+		s := NewIRStash(o.Levels, o.TopLevels, o.Z, o.SStashWays)
+		capacity := int(o.Z.Slots() - o.Z.MemorySlots(o.TopLevels))
+		if want := (capacity + o.SStashWays - 1) / o.SStashWays; s.sets != want {
+			t.Fatalf("%s: %d sets, want %d", g.name, s.sets, want)
+		}
+		want := func(addr block.ID) int {
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], uint64(addr))
+			sum := md5.Sum(buf[:])
+			return int(binary.LittleEndian.Uint64(sum[:8]) % uint64(s.sets))
+		}
+		check := func(addr block.ID) {
+			if got, w := s.setOf(addr), want(addr); got != w {
+				t.Fatalf("%s: setOf(%#x) = %d, MD5 set %d", g.name, uint64(addr), got, w)
+			}
+		}
+		r := rng.New(15)
+		var seen []block.ID
+		for i := 0; i < 20000; i++ {
+			a := block.ID(r.Uint64n(1 << 40))
+			b := a + setMemoSize // same memo slot, different address
+			check(a)
+			check(b)
+			check(a)
+			check(b)
+			seen = append(seen, a)
+			check(seen[r.Intn(len(seen))])
+		}
+		for a := block.ID(0); a < 2*setMemoSize; a += setMemoSize / 4 {
+			check(a)
+		}
 	}
 }
 
