@@ -30,6 +30,7 @@ import (
 
 	"iroram"
 	"iroram/internal/block"
+	"iroram/internal/config"
 	"iroram/internal/prof"
 	"iroram/internal/telemetry"
 )
@@ -59,6 +60,11 @@ func run() (code int) {
 	)
 	flag.Parse()
 
+	base, err := baseConfig(*levels)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "irsim: %v\n", err)
+		return 2
+	}
 	if *flightOut != "" && *flightSample == 0 {
 		fmt.Fprintln(os.Stderr, "irsim: -flight-sample must be >= 1")
 		return 2
@@ -90,17 +96,11 @@ func run() (code int) {
 	}()
 
 	if *compare {
-		return runComparison(*bench, *requests, *levels, *seed, *emitMode, *out, *epochs,
+		return runComparison(*bench, *requests, base, *seed, *emitMode, *out, *epochs,
 			*flightSample, *flightOut)
 	}
 
-	cfg := iroram.ScaledConfig()
-	if *levels == 25 {
-		cfg = iroram.PaperConfig()
-	} else if *levels != 0 {
-		cfg.ORAM.Levels = *levels
-		cfg.ORAM.Z = nil // rebuilt by WithScheme
-	}
+	cfg := base
 	cfg.Seed = *seed
 
 	var found bool
@@ -174,6 +174,27 @@ func run() (code int) {
 		return code
 	}
 	return report(cfg, res, *emitMode, *out, *seed)
+}
+
+// baseConfig returns the geometry -levels selects, before any scheme is
+// applied: 0 is the scaled default, 25 is Table I, and any other value in
+// [config.MinLevels, config.MaxLevels] overrides the scaled default's level
+// count. Out-of-range values are rejected before a Z profile is sized from
+// them.
+func baseConfig(levels int) (iroram.Config, error) {
+	switch {
+	case levels == 0:
+		return iroram.ScaledConfig(), nil
+	case levels == 25:
+		return iroram.PaperConfig(), nil
+	case levels < config.MinLevels || levels > config.MaxLevels:
+		return iroram.Config{}, fmt.Errorf("-levels %d out of [%d, %d] (0 = scaled default, 25 = Table I)",
+			levels, config.MinLevels, config.MaxLevels)
+	}
+	cfg := iroram.ScaledConfig()
+	cfg.ORAM.Levels = levels
+	cfg.ORAM.Z = nil // rebuilt by WithScheme
+	return cfg, nil
 }
 
 // writeFlight exports one run's flight trace as a Chrome trace-event file.
@@ -256,7 +277,7 @@ func report(cfg iroram.Config, res iroram.Result, emitMode, out string, seed uin
 // runComparison is -compare: every scheme on one workload, one line each.
 // With -emit jsonl it also writes one artifact record per scheme; with
 // -flight, one trace file where each scheme is a process.
-func runComparison(bench string, requests, levels int, seed uint64, emitMode, out string,
+func runComparison(bench string, requests int, base iroram.Config, seed uint64, emitMode, out string,
 	epochs, flightSample uint64, flightOut string) int {
 	fmt.Printf("%-10s %14s %9s %8s %8s %8s %8s\n",
 		"scheme", "cycles", "speedup", "paths", "PTp", "dummies", "blk/acc")
@@ -264,13 +285,7 @@ func runComparison(bench string, requests, levels int, seed uint64, emitMode, ou
 	artifacts := &iroram.ArtifactLog{}
 	var procs []iroram.FlightProcess
 	for _, sch := range iroram.AllSchemes() {
-		cfg := iroram.ScaledConfig()
-		if levels == 25 {
-			cfg = iroram.PaperConfig()
-		} else if levels != 0 {
-			cfg.ORAM.Levels = levels
-			cfg.ORAM.Z = nil
-		}
+		cfg := base
 		cfg.Seed = seed
 		cfg = cfg.WithScheme(sch)
 		sys, err := iroram.NewSystem(cfg)

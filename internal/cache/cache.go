@@ -1,6 +1,6 @@
 // Package cache implements the set-associative write-back caches of the
-// simulated system: the LLC in front of the ORAM controller, the L1 filter
-// used when replaying raw traces, and the PLB (PosMap lookaside buffer).
+// simulated system: the LLC in front of the ORAM controller and the PLB
+// (PosMap lookaside buffer).
 // It also provides the dirty-LRU scanner that IR-DWB's Ptr register walks
 // (Section IV-D of the paper).
 package cache
@@ -92,7 +92,7 @@ func (c *Cache) find(addr uint64) *way {
 
 // EnableLRUTracking allocates and fills the per-set summary bitmaps the
 // DWB scanner consumes. Scanner constructors call it; plain caches (PLB,
-// L1, non-DWB LLCs) never pay the per-mutation refresh.
+// non-DWB LLCs) never pay the per-mutation refresh.
 func (c *Cache) EnableLRUTracking() {
 	if c.lruSummary != nil {
 		return

@@ -28,13 +28,14 @@
 // it. TestCachedResultImmutable in internal/experiments pins that contract:
 // if it ever fails, hits must start deep-copying.
 //
-// # Fail-closed keying
+// # Complete keying
 //
-// The key encoder is hand-written field by field. A reflection guard runs
-// before the first Key and panics if config.System (or any struct reachable
-// from it) has gained a field the encoder does not cover — growing the
-// configuration surface without extending the fingerprint fails loudly
-// instead of ever serving a stale hit.
+// Key is the Go-syntax (%#v) rendering of the configuration, which prints
+// every field of every nested struct, so a field added to config.System
+// joins the key with no encoder to extend. That holds only while every
+// field reachable from config.System is a plain value (no pointer, map,
+// func, interface or channel, which would print an address or an unstable
+// order); TestCoverageGuard walks the type and fails on any such field.
 package cellcache
 
 import (

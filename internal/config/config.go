@@ -8,10 +8,10 @@
 // SystemConfig and a seed.
 //
 // The configuration structs double as the cache identity of a simulation
-// cell: internal/cellcache fingerprints a fully-resolved System field by
-// field. Adding a field here is safe — a reflection guard there fails
-// loudly until the key encoder covers it — but the new field must be added
-// to that encoder before anything using the cell cache runs.
+// cell: internal/cellcache keys a fully-resolved System by its %#v
+// rendering, so a new field joins the key automatically. Fields must stay
+// plain values (no pointers, maps, funcs, interfaces or channels), which
+// cellcache's TestCoverageGuard enforces.
 package config
 
 import (
@@ -269,22 +269,27 @@ type System struct {
 	ORAM ORAM
 	DRAM DRAM
 	LLC  Cache
-	L1   Cache
 	CPU  CPU
 	Scheme
 	// Seed drives every random decision (leaf remaps, traces, placement).
 	Seed uint64
 }
 
+// MinLevels and MaxLevels bound ORAM.Levels. MaxLevels keeps every leaf
+// below 2^31: leaves are 32-bit and the top bit is reserved as an in-flight
+// marker (tree.GatherFlag).
+const (
+	MinLevels = 3
+	MaxLevels = 32
+)
+
 // Validate checks internal consistency and returns a descriptive error for
 // the first violated constraint.
 func (s System) Validate() error {
 	o := s.ORAM
 	switch {
-	// 32 keeps every leaf below 2^31: leaves are 32-bit and the top bit is
-	// reserved as an in-flight marker (tree.GatherFlag).
-	case o.Levels < 3 || o.Levels > 32:
-		return fmt.Errorf("config: ORAM levels %d out of [3,32]", o.Levels)
+	case o.Levels < MinLevels || o.Levels > MaxLevels:
+		return fmt.Errorf("config: ORAM levels %d out of [%d,%d]", o.Levels, MinLevels, MaxLevels)
 	case o.TopLevels < 0 || o.TopLevels >= o.Levels:
 		return fmt.Errorf("config: top levels %d out of [0,%d)", o.TopLevels, o.Levels)
 	case len(o.Z) != o.Levels:
@@ -343,10 +348,8 @@ func (s System) Validate() error {
 	if d.TRCD <= 0 || d.TCAS <= 0 || d.TRP <= 0 || d.TBurst <= 0 || d.TWR < 0 {
 		return errors.New("config: DRAM timings must be positive")
 	}
-	for _, c := range []Cache{s.LLC, s.L1} {
-		if c.CapacityBytes <= 0 || c.Ways <= 0 || c.CapacityBytes%(BlockSize*c.Ways) != 0 {
-			return fmt.Errorf("config: cache %+v geometry invalid", c)
-		}
+	if c := s.LLC; c.CapacityBytes <= 0 || c.Ways <= 0 || c.CapacityBytes%(BlockSize*c.Ways) != 0 {
+		return fmt.Errorf("config: cache %+v geometry invalid", c)
 	}
 	if s.CPU.IPC <= 0 || s.CPU.WriteQueueDepth <= 0 || s.CPU.MLP <= 0 {
 		return errors.New("config: CPU IPC, write queue depth and MLP must be positive")

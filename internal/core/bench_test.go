@@ -7,6 +7,7 @@ import (
 	"iroram/internal/config"
 	"iroram/internal/dram"
 	"iroram/internal/rng"
+	"iroram/internal/tree"
 )
 
 // evictOp returns one op of the write-phase microbenchmark: a full stash
@@ -30,16 +31,14 @@ func evictOp(tb testing.TB) func() {
 	for i := 0; i < 2000; i++ {
 		now = is.ReadBlock(now, block.ID(r.Uint64n(nd)))
 	}
+	stashIt := func(e tree.Entry, _ int) { c.fstash.Insert(e) }
 	return func() {
 		leaf := block.Leaf(r.Uint64n(c.o.LeafCount()))
-		c.readBuf = c.tr.ReadPath(leaf, c.readBuf[:0])
+		c.tr.ReadPathEach(leaf, stashIt)
 		if c.top != nil {
-			c.readBuf = c.top.ReadPath(leaf, c.readBuf)
+			c.top.ReadPathEach(leaf, stashIt)
 		}
-		for _, e := range c.readBuf {
-			c.fstash.Insert(e)
-		}
-		c.evictBuf = evictOntoPath(&c.pathTree, leaf, nil, c.evictList, c.evictBuf, nil, nil)
+		c.evictBuf = evictOntoPath(&c.pathTree, leaf, nil, c.evictList, c.evictBuf, nil)
 	}
 }
 

@@ -119,33 +119,23 @@ type Controller struct {
 	rho  *rhoState  // non-nil when the ρ scheme is active
 	ring *ringState // non-nil when the Ring ORAM protocol is active
 
-	// refPipeline routes pathAccess through the retained multi-walk,
-	// per-address reference implementation (access_reference.go). Tests
-	// flip it to pin the fused pipeline differentially.
-	refPipeline bool
+	// refAccess, when non-nil, serves every pathAccess in its place. It is
+	// nil in production; the differential test installs the multi-walk
+	// reference pipeline here (pipeline_test.go).
+	refAccess func(t *pathTree, now uint64, leaf block.Leaf, target block.ID,
+		ptype block.PathType) (found bool, foundLevel int, done uint64)
 
 	// Scratch buffers reused across path accesses on either tree, so the
 	// steady-state hot path allocates nothing (guarded by
 	// TestPathAccessZeroAllocs, `make alloccheck`).
-	physBuf []uint64
-	accBuf  []dram.Access // reference pipeline only (access_reference.go)
-	// fetched serves only the reference pipeline (access_reference.go): it
-	// rebuilds per-path membership that the fused pipeline carries for free
-	// on the entries themselves via tree.GatherFlag.
-	fetched   *pathSet
-	readBuf   []tree.Entry   // read-phase entries (tree + top segment)
+	physBuf   []uint64
 	evictList [][]tree.Entry // per-level candidates for evictOntoPath
 	evictBuf  []tree.Entry   // eviction candidate pool / spillover
 	gathered  []tree.Entry   // read-walk scratch: path blocks bound for the drain
-	// placeMainRef charts the main tree's migration split for the
-	// reference pipeline, which never flags entries, by consulting the
-	// fetched set per entry.
-	placeMainRef func(tree.Entry, int, bool)
 
 	// Fused-gather state: gather is built once and walks the tree + top
 	// segment of a path, staging blocks for the drain while watching for
-	// gTarget — the single-walk replacement for the
-	// ReadPath-into-buffer-then-scan shape the reference keeps.
+	// gTarget, so the read phase needs no buffer and no second scan.
 	gather  func(tree.Entry, int)
 	gTarget block.ID
 	gFound  bool
@@ -164,11 +154,11 @@ type Controller struct {
 // records its read, decrypt and posted-writeback phase spans plus the
 // whole-access span tagged with path type and leaf; the issuer adds
 // per-slot occupancy samples and disarms the recorder when it accounts the
-// slot. The reference pipeline and Ring ORAM's one-block-per-bucket reads
-// are not traced; a sampled Ring eviction path is, its extra dummy-slot
-// DRAM traffic included. Recording only observes — no RNG draws, no timing
-// changes — so every counter, histogram and byte of stdout is identical
-// with tracing on or off.
+// slot. Ring ORAM's one-block-per-bucket reads are not traced; a sampled
+// Ring eviction path is, its extra dummy-slot DRAM traffic included.
+// Recording only observes — no RNG draws, no timing changes — so every
+// counter, histogram and byte of stdout is identical with tracing on or
+// off.
 func (c *Controller) AttachFlight(fl *flight.Recorder) { c.fl = fl }
 
 // NewController builds and initializes a controller: the position map is
@@ -195,11 +185,7 @@ func NewController(cfg config.System, mem *dram.Model, r *rng.Source) (*Controll
 		st:        newStats(o.Levels),
 		evictList: make([][]tree.Entry, o.Levels),
 	}
-	// Sized to one path: membership never outlives a Reset, and a path
-	// gathers at most its full (top + memory) block count.
-	c.fetched = newPathSet(o.Z.BlocksPerPath(0))
 	c.mig = newPlaceCounts(o.Levels)
-	c.placeMainRef = func(e tree.Entry, level int, _ bool) { c.recordMigration(e.Addr, level) }
 	// The gather closure stages path blocks in c.gathered instead of
 	// inserting them into the stash: the eviction drain that runs one walk
 	// later would take them right back out, and the index round-trip (a
@@ -207,8 +193,9 @@ func NewController(cfg config.System, mem *dram.Model, r *rng.Source) (*Controll
 	// largest per-path cost the fused pipeline eliminates. DrainForPath
 	// folds the staged blocks in with the exact ordering the insert/remove
 	// sequence would have produced. Staged entries carry tree.GatherFlag —
-	// the this-path provenance bit the write phase strips into onPlace's
-	// fetched argument — so no membership set is consulted per placement.
+	// the this-path provenance bit the write phase strips into the
+	// placeCounts fetched tally — so no membership set is consulted per
+	// placement.
 	// The extracted target never reaches the write phase flagged: it is
 	// remapped and re-Inserted (or parked in the LLC) by the caller.
 	c.gather = func(e tree.Entry, level int) {
@@ -329,15 +316,15 @@ func (c *Controller) pathRuns(t *pathTree, leaf block.Leaf) []dram.Run {
 //
 // This is the fused single-walk pipeline: the DRAM read phase is charged
 // from the memoized per-leaf run list, one walk over the path moves every
-// block straight into the stash (recording the target's level in passing,
-// where the reference shape pays a separate tree.Find walk), the eviction
-// walk refills it, and the write phase posts from the same run list. The
-// multi-walk, per-address shape is retained in access_reference.go and
-// pinned against this one by TestFusedPipelineMatchesReference.
+// block straight into the stash (recording the target's level in passing),
+// the eviction walk refills it, and the write phase posts from the same
+// run list. TestFusedPipelineMatchesReference pins it against a
+// multi-walk, per-address reference that lives with that test and is
+// reached through refAccess.
 func (c *Controller) pathAccess(t *pathTree, now uint64, leaf block.Leaf, target block.ID,
 	ptype block.PathType) (found bool, foundLevel int, done uint64) {
-	if c.refPipeline {
-		return c.pathAccessReference(t, now, leaf, target, ptype)
+	if c.refAccess != nil {
+		return c.refAccess(t, now, leaf, target, ptype)
 	}
 	// Arm (or not) the flight recorder for this access before the read
 	// phase so the DRAM hooks see the sampling decision; the issuer
@@ -366,7 +353,7 @@ func (c *Controller) pathAccess(t *pathTree, now uint64, leaf block.Leaf, target
 	// filled and the on-chip segment honoring S-Stash conflict refusals
 	// ("skip picking this block for this round"). See eviction.go. The
 	// two trees share the scratch: they never evict concurrently.
-	c.evictBuf = evictOntoPath(t, leaf, c.gathered, c.evictList, c.evictBuf, nil, t.mig)
+	c.evictBuf = evictOntoPath(t, leaf, c.gathered, c.evictList, c.evictBuf, t.mig)
 	if m := t.mig; m != nil {
 		for l, p := range m.placed {
 			if p > 0 {
@@ -410,14 +397,6 @@ func (c *Controller) recordPhases(now, readDone, writeDone, done uint64,
 		Kind: flight.KindPhaseDecrypt, Sub: uint8(ptype)})
 	c.fl.Record(flight.Event{Start: now, End: done, Arg: uint64(leaf),
 		Kind: flight.KindAccess, Sub: uint8(ptype)})
-}
-
-func (c *Controller) recordMigration(addr block.ID, level int) {
-	if c.fetched.Has(addr) {
-		c.st.MigrationFetched.Add(level)
-	} else {
-		c.st.MigrationPreexisting.Add(level)
-	}
 }
 
 // treeAccess dispatches the main-tree access primitive: Ring ORAM's

@@ -8,25 +8,21 @@ import (
 // This file implements the write phase of a path access — draining the
 // F-Stash into the just-read path, deepest bucket first.
 //
-// The hot implementation (evictOntoPath) is the single-pass formulation of
-// the original Path ORAM paper (Stefanov et al.): one walk over the stash
-// classifies every entry by its deepest placeable level on the current path
-// (tree.DeepestLevel, a leaf-XOR + leading-zero count), then buckets are
-// filled deepest-first from the per-level lists, with entries that did not
-// fit spilling toward the root. Cost is O(stash + path). The pre-PR3
-// formulation — one full stash scan per tree level via
-// stash.FStash.TakeForBucket — is O(levels × stash) and is retained below
-// (evictOntoPathReference) as the oracle for the differential tests in
-// eviction_test.go.
+// evictOntoPath is the single-pass formulation of the original Path ORAM
+// paper (Stefanov et al.): one walk over the stash classifies every entry
+// by its deepest placeable level on the current path (tree.DeepestLevel, a
+// leaf-XOR + leading-zero count), then buckets are filled deepest-first
+// from the per-level lists, with entries that did not fit spilling toward
+// the root. Cost is O(stash + path). The O(levels × stash) per-level rescan
+// it replaced (stash.FStash.TakeForBucket) lives on in eviction_test.go as
+// evictOntoPathReference, the oracle of the eviction differentials.
 //
-// The two implementations place the same NUMBER of blocks at every level of
-// the path (both are maximal greedy deepest-first evictions; see
-// TestEvictionDifferential), but may pick DIFFERENT blocks when more
-// candidates fit a level than the bucket holds: the reference scan picks by
-// stash storage order, the single-pass picks deepest-candidates-first.
-// Recorded experiment tables were re-baselined once for this tie-break
-// change; both orders are deterministic, so tables remain byte-identical
-// across runs and -jobs values.
+// The two place the same NUMBER of blocks at every level of the path (both
+// are maximal greedy deepest-first evictions; see TestEvictionDifferential)
+// but may pick DIFFERENT blocks when more candidates fit a level than the
+// bucket holds: the rescan picks by stash storage order, the single pass
+// deepest-candidates-first. Both orders are deterministic, so tables stay
+// byte-identical across runs and -jobs values.
 
 // evictOntoPath drains t's stash onto the path of leaf: memory-resident
 // levels [t.minLevel, levels) are bulk-filled into t.tr, and — when t.top
@@ -38,11 +34,10 @@ import (
 //
 // placeCounts receives the aggregate placement tally of one write phase:
 // placed[l] blocks landed at level l, fetched[l] of which were gathered by
-// the current access (carried tree.GatherFlag). It is the bulk alternative
-// to the per-entry onPlace callback for callers — the demand pipeline —
-// that only chart the migration split: tallying two ints per FILL beats an
-// indirect call per BLOCK on the hottest loop in the simulator. Slices must
-// hold `levels` elements; evictOntoPath adds to them without clearing.
+// the current access (carried tree.GatherFlag) — the Fig 4/5 migration
+// split, tallied per fill rather than per block on the hottest loop in the
+// simulator. Slices must hold `levels` elements; evictOntoPath adds to them
+// without clearing.
 type placeCounts struct {
 	placed  []int
 	fetched []int
@@ -58,16 +53,12 @@ func (p *placeCounts) reset() {
 }
 
 // lists (at least `levels` slices) and buf are caller-owned scratch reused
-// across paths; onPlace, when non-nil, observes every placement along with
-// whether the placed block was gathered by the current path access
-// (carried by tree.GatherFlag on gathered entries' leaves and stripped
-// here before any entry reaches storage). counts, when non-nil, receives
-// the aggregate per-level tally instead; passing both is allowed but the
-// demand pipeline passes exactly one. The returned slice is buf's
-// (possibly grown) backing for the caller to keep.
+// across paths. tree.GatherFlag on gathered entries' leaves is stripped
+// here before any entry reaches storage; counts, when non-nil, receives the
+// per-level placement tally. The returned slice is buf's (possibly grown)
+// backing for the caller to keep.
 func evictOntoPath(t *pathTree, leaf block.Leaf,
 	gathered []tree.Entry, lists [][]tree.Entry, buf []tree.Entry,
-	onPlace func(e tree.Entry, level int, fetched bool),
 	counts *placeCounts) []tree.Entry {
 
 	tr, top, z, minLevel, levels := t.tr, t.top, t.o.Z, t.minLevel, t.o.Levels
@@ -109,20 +100,7 @@ func evictOntoPath(t *pathTree, leaf block.Leaf,
 			if len(take) > n {
 				take = take[:n]
 			}
-			switch {
-			case onPlace != nil:
-				for i := range take {
-					fetched := take[i].Leaf&tree.GatherFlag != 0
-					take[i].Leaf &^= tree.GatherFlag
-					onPlace(take[i], l, fetched)
-					if counts != nil {
-						counts.placed[l]++
-						if fetched {
-							counts.fetched[l]++
-						}
-					}
-				}
-			case counts != nil:
+			if counts != nil {
 				f := 0
 				for i := range take {
 					if take[i].Leaf&tree.GatherFlag != 0 {
@@ -132,7 +110,7 @@ func evictOntoPath(t *pathTree, leaf block.Leaf,
 				}
 				counts.placed[l] += len(take)
 				counts.fetched[l] += f
-			default:
+			} else {
 				for i := range take {
 					take[i].Leaf &^= tree.GatherFlag
 				}
@@ -158,9 +136,6 @@ func evictOntoPath(t *pathTree, leaf block.Leaf,
 				fetched := e.Leaf&tree.GatherFlag != 0
 				e.Leaf &^= tree.GatherFlag
 				if placed < z[l] && top.Fill(l, leaf, e) {
-					if onPlace != nil {
-						onPlace(e, l, fetched)
-					}
 					if counts != nil {
 						counts.placed[l]++
 						if fetched {
@@ -181,54 +156,4 @@ func evictOntoPath(t *pathTree, leaf block.Leaf,
 		t.fstash.Insert(e)
 	}
 	return buf[:0]
-}
-
-// evictOntoPathReference is the pre-PR3 write phase, kept unexported as the
-// differential-test oracle: for each level, leaf-to-root, rescan the whole
-// stash for blocks placeable in that level's bucket (TakeForBucket), then
-// fill the on-chip segment one block at a time, re-stashing refused blocks.
-// refused and takeBuf are caller-owned scratch (refused is an epoch-stamped
-// set reset per level, preserving the historical retry-at-shallower-levels
-// semantics with an O(1) clear instead of a map walk).
-// Reference entries are never flagged (its callers pre-Insert gathered
-// blocks into the stash), so it reports fetched=false and its onPlace
-// adapters derive the migration split from a membership set instead.
-func evictOntoPathReference(t *pathTree, leaf block.Leaf,
-	refused *epochSet, takeBuf []tree.Entry,
-	onPlace func(e tree.Entry, level int, fetched bool)) {
-
-	fs, tr, top, z, minLevel, levels := t.fstash, t.tr, t.top, t.o.Z, t.minLevel, t.o.Levels
-
-	for l := levels - 1; l >= minLevel; l-- {
-		take := fs.TakeForBucket(leaf, l, levels, z[l], nil, takeBuf[:0])
-		if onPlace != nil {
-			for _, e := range take {
-				onPlace(e, l, false)
-			}
-		}
-		tr.FillBucket(l, leaf, take)
-	}
-	if top == nil {
-		return
-	}
-	for l := minLevel - 1; l >= 0; l-- {
-		refused.Reset()
-		for placed := 0; placed < z[l]; {
-			cand := fs.TakeForBucket(leaf, l, levels, 1,
-				func(e tree.Entry) bool { return !refused.Has(e.Addr) }, takeBuf[:0])
-			if len(cand) == 0 {
-				break
-			}
-			e := cand[0]
-			if top.Fill(l, leaf, e) {
-				if onPlace != nil {
-					onPlace(e, l, false)
-				}
-				placed++
-			} else {
-				refused.Add(e.Addr)
-				fs.Insert(e)
-			}
-		}
-	}
 }

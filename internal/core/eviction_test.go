@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"iroram/internal/block"
@@ -24,6 +25,81 @@ func shadowTree(c *Controller) *pathTree {
 	return s
 }
 
+// evictOntoPathReference is the per-level rescan write phase that
+// evictOntoPath replaced, kept as the oracle of the eviction differentials:
+// for each level, leaf-to-root, rescan the whole stash for blocks placeable
+// in that level's bucket (TakeForBucket), then fill the on-chip segment one
+// block at a time, re-stashing refused blocks. refused and takeBuf are
+// caller-owned scratch (refused is reset per level, preserving the
+// retry-at-shallower-levels semantics). onPlace, when non-nil, observes
+// every placement. Callers pre-Insert the path's blocks into the stash, so
+// no entry is ever flagged.
+func evictOntoPathReference(t *pathTree, leaf block.Leaf,
+	refused *epochSet, takeBuf []tree.Entry, onPlace func(e tree.Entry, level int)) {
+
+	fs, tr, top, z, minLevel, levels := t.fstash, t.tr, t.top, t.o.Z, t.minLevel, t.o.Levels
+
+	for l := levels - 1; l >= minLevel; l-- {
+		take := fs.TakeForBucket(leaf, l, levels, z[l], nil, takeBuf[:0])
+		if onPlace != nil {
+			for _, e := range take {
+				onPlace(e, l)
+			}
+		}
+		tr.FillBucket(l, leaf, take)
+	}
+	if top == nil {
+		return
+	}
+	for l := minLevel - 1; l >= 0; l-- {
+		refused.Reset()
+		for placed := 0; placed < z[l]; {
+			cand := fs.TakeForBucket(leaf, l, levels, 1,
+				func(e tree.Entry) bool { return !refused.Has(e.Addr) }, takeBuf[:0])
+			if len(cand) == 0 {
+				break
+			}
+			e := cand[0]
+			if top.Fill(l, leaf, e) {
+				if onPlace != nil {
+					onPlace(e, l)
+				}
+				placed++
+			} else {
+				refused.Add(e.Addr)
+				fs.Insert(e)
+			}
+		}
+	}
+}
+
+// drainPlaced destructively reads the path of leaf out of p after a write
+// phase and returns how many blocks it holds at each level and how many of
+// those are in fetched. It fails on any stored entry that still carries
+// tree.GatherFlag or sits at a level its leaf does not share with the path.
+func drainPlaced(t *testing.T, p *pathTree, leaf block.Leaf,
+	fetched map[block.ID]bool) (placed, fromPath []int) {
+	t.Helper()
+	placed, fromPath = make([]int, p.o.Levels), make([]int, p.o.Levels)
+	visit := func(e tree.Entry, l int) {
+		if e.Leaf&tree.GatherFlag != 0 {
+			t.Fatalf("%v stored at level %d still flagged", e.Addr, l)
+		}
+		if !tree.SameSubtree(leaf, e.Leaf, l, p.o.Levels) {
+			t.Fatalf("illegal placement of %v (leaf %d) at level %d of path %d", e.Addr, e.Leaf, l, leaf)
+		}
+		placed[l]++
+		if fetched[e.Addr] {
+			fromPath[l]++
+		}
+	}
+	p.tr.ReadPathEach(leaf, visit)
+	if p.top != nil {
+		p.top.ReadPathEach(leaf, visit)
+	}
+	return placed, fromPath
+}
+
 // TestEvictionDifferential replays every write phase of a long randomized
 // workload through both eviction implementations and checks that they agree
 // on the one property the experiments depend on: how MANY blocks land at
@@ -37,7 +113,9 @@ func shadowTree(c *Controller) *pathTree {
 // in for the just-drained path buckets. That keeps the oracle exact for
 // TopNone and the dedicated top cache; IR-Stash is excluded because its
 // S-Stash refusals depend on global set occupancy that a fresh shadow
-// cannot reproduce.
+// cannot reproduce. A second shadow replays the single pass itself, and
+// reading its path back checks every placement's legality and the live
+// call's per-level tally.
 func TestEvictionDifferential(t *testing.T) {
 	schemes := []config.Scheme{
 		config.Baseline(),
@@ -56,10 +134,12 @@ func TestEvictionDifferential(t *testing.T) {
 			r := rng.New(12)
 			nd := cfg.ORAM.DataBlocks()
 
-			liveCounts := make([]int, c.o.Levels)
+			live := newPlaceCounts(c.o.Levels)
 			refCounts := make([]int, c.o.Levels)
 			refused := newEpochSet(int(c.pm.Total()))
 			takeBuf := make([]tree.Entry, 0, 64)
+			var replayBuf []tree.Entry
+			stashIt := func(e tree.Entry, _ int) { c.fstash.Insert(e) }
 			now := uint64(0)
 
 			const accesses = 2500
@@ -72,38 +152,34 @@ func TestEvictionDifferential(t *testing.T) {
 				// both implementations (protocol-wise a background
 				// eviction: random leaf, no target).
 				leaf := block.Leaf(r.Uint64n(c.o.LeafCount()))
-				c.readBuf = c.tr.ReadPath(leaf, c.readBuf[:0])
+				c.tr.ReadPathEach(leaf, stashIt)
 				if c.top != nil {
-					c.readBuf = c.top.ReadPath(leaf, c.readBuf)
-				}
-				for _, e := range c.readBuf {
-					c.fstash.Insert(e)
+					c.top.ReadPathEach(leaf, stashIt)
 				}
 
-				// Snapshot for the oracle, preserving storage order.
+				// Snapshots for the oracle and the replay, preserving
+				// storage order.
 				shadow := shadowTree(c)
+				replay := shadowTree(c)
 
-				clear(liveCounts)
+				live.reset()
 				clear(refCounts)
-				c.evictBuf = evictOntoPath(&c.pathTree, leaf, nil, c.evictList, c.evictBuf,
-					func(e tree.Entry, l int, _ bool) {
-						liveCounts[l]++
-						if !tree.SameSubtree(leaf, e.Leaf, l, c.o.Levels) {
-							t.Fatalf("access %d: illegal placement of %v (leaf %d) at level %d of path %d",
-								i, e.Addr, e.Leaf, l, leaf)
-						}
-					}, nil)
+				c.evictBuf = evictOntoPath(&c.pathTree, leaf, nil, c.evictList, c.evictBuf, live)
 				evictOntoPathReference(shadow, leaf, refused, takeBuf,
-					func(e tree.Entry, l int, _ bool) { refCounts[l]++ })
+					func(_ tree.Entry, l int) { refCounts[l]++ })
+				replayBuf = evictOntoPath(replay, leaf, nil, c.evictList, replayBuf, nil)
+				if stored, _ := drainPlaced(t, replay, leaf, nil); !slices.Equal(stored, live.placed) {
+					t.Fatalf("access %d leaf %d: tally %v, stored %v", i, leaf, live.placed, stored)
+				}
 
-				for l := range liveCounts {
-					if liveCounts[l] != refCounts[l] {
+				for l := range live.placed {
+					if live.placed[l] != refCounts[l] {
 						t.Fatalf("access %d leaf %d: placement counts diverge at level %d: single-pass %v, reference %v",
-							i, leaf, l, liveCounts, refCounts)
+							i, leaf, l, live.placed, refCounts)
 					}
-					if liveCounts[l] > c.o.Z[l] {
+					if live.placed[l] > c.o.Z[l] {
 						t.Fatalf("access %d: %d placements at level %d exceed Z=%d",
-							i, liveCounts[l], l, c.o.Z[l])
+							i, live.placed[l], l, c.o.Z[l])
 					}
 				}
 				if got, want := c.fstash.Len(), shadow.fstash.Len(); got != want {
@@ -129,14 +205,14 @@ func TestEvictionDifferential(t *testing.T) {
 // gathered entries (never touching the stash index), while the reference
 // oracle gets the same blocks pre-Inserted unflagged — the historical
 // shape. Beyond the placement-count and stash-residue parity of
-// TestEvictionDifferential, it pins the provenance plumbing itself: every
-// placement's fetched bit must equal gathered-set membership, no entry may
-// reach onPlace still flagged, and no flag may survive into the stash
-// residue (a leaked bit would corrupt the next access's leaf arithmetic).
-// A third run per access replays the same inputs through the counts-only
-// calling convention — the demand pipeline's bulk-tally branch, which has
-// no per-entry callback — and checks its per-level placed/fetched tallies
-// against the closure-derived ones.
+// TestEvictionDifferential, it pins the provenance plumbing itself. The
+// live call tallies into placeCounts, the demand pipeline's shape. Two
+// replays of the same inputs on shadow state, one with a tally and one
+// without (ρ's small tree's shape), are read back: every stored entry must
+// be unflagged, and the stored per-level counts, split by gathered-set
+// membership, must equal the live placed/fetched tallies. No flag may
+// survive into a stash residue either (a leaked bit would corrupt the next
+// access's leaf arithmetic).
 func TestEvictionGatherFlagDifferential(t *testing.T) {
 	schemes := []config.Scheme{
 		config.Baseline(),
@@ -155,14 +231,13 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 			r := rng.New(22)
 			nd := cfg.ORAM.DataBlocks()
 
-			liveCounts := make([]int, c.o.Levels)
-			liveFetched := make([]int, c.o.Levels)
+			live := newPlaceCounts(c.o.Levels)
 			refCounts := make([]int, c.o.Levels)
 			refused := newEpochSet(int(c.pm.Total()))
 			takeBuf := make([]tree.Entry, 0, 64)
 			gatheredSet := make(map[block.ID]bool)
 			bulk := newPlaceCounts(c.o.Levels)
-			var gathered2, bulkBuf []tree.Entry
+			var gathered2, replayBuf []tree.Entry
 			now := uint64(0)
 
 			const accesses = 2000
@@ -192,54 +267,50 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 					shadow.fstash.Insert(e)
 				}
 
-				// Replay state for the bulk-tally convention: the same inputs
-				// the live call is about to consume (resident stash clone in
-				// storage order, flagged gathered copy, freshly-drained path
-				// buckets), snapshotted before the live call mutates them.
-				shadow2 := shadowTree(c)
-				gathered2 = append(gathered2[:0], c.gathered...)
+				// Replay states: the same inputs the live call is about to
+				// consume (resident stash clone in storage order, freshly
+				// drained path buckets), snapshotted before the live call
+				// mutates them.
+				replays := []*pathTree{shadowTree(c), shadowTree(c)}
 
-				clear(liveCounts)
-				clear(liveFetched)
+				live.reset()
 				clear(refCounts)
-				c.evictBuf = evictOntoPath(&c.pathTree, leaf, c.gathered, c.evictList, c.evictBuf,
-					func(e tree.Entry, l int, fetched bool) {
-						liveCounts[l]++
-						if fetched {
-							liveFetched[l]++
-						}
-						if e.Leaf&tree.GatherFlag != 0 {
-							t.Fatalf("access %d: entry %v reached onPlace still flagged", i, e.Addr)
-						}
-						if want := gatheredSet[e.Addr]; fetched != want {
-							t.Fatalf("access %d: %v placed with fetched=%v, gathered set says %v",
-								i, e.Addr, fetched, want)
-						}
-					}, nil)
+				gathered2 = append(gathered2[:0], c.gathered...)
+				c.evictBuf = evictOntoPath(&c.pathTree, leaf, c.gathered, c.evictList, c.evictBuf, live)
 
-				// Bulk replay: identical inputs through the counts-only branch
-				// (no per-entry callback — the demand pipeline's shape). Block
-				// selection is deterministic in the inputs, so the tallies must
-				// equal the closure-derived ones exactly.
-				bulk.reset()
-				bulkBuf = evictOntoPath(shadow2, leaf, gathered2, c.evictList, bulkBuf, nil, bulk)
-				for l := 0; l < c.o.Levels; l++ {
-					if bulk.placed[l] != liveCounts[l] || bulk.fetched[l] != liveFetched[l] {
-						t.Fatalf("access %d level %d: bulk tally (placed %d, fetched %d), closure (placed %d, fetched %d)",
-							i, l, bulk.placed[l], bulk.fetched[l], liveCounts[l], liveFetched[l])
+				// Block selection is deterministic in the inputs, so each
+				// replay stores exactly the live call's placements.
+				for k, tally := range []*placeCounts{bulk, nil} {
+					p := replays[k]
+					if tally != nil {
+						tally.reset()
 					}
-				}
-				if got, want := shadow2.fstash.Len(), c.fstash.Len(); got != want {
-					t.Fatalf("access %d: bulk-replay stash residue %d, live %d", i, got, want)
+					flagged := append([]tree.Entry(nil), gathered2...)
+					replayBuf = evictOntoPath(p, leaf, flagged, c.evictList, replayBuf, tally)
+					placed, fetched := drainPlaced(t, p, leaf, gatheredSet)
+					if !slices.Equal(placed, live.placed) || !slices.Equal(fetched, live.fetched) {
+						t.Fatalf("access %d replay %d: stored (placed %v, fetched %v), live tally (placed %v, fetched %v)",
+							i, k, placed, fetched, live.placed, live.fetched)
+					}
+					if tally != nil && (!slices.Equal(tally.placed, placed) || !slices.Equal(tally.fetched, fetched)) {
+						t.Fatalf("access %d: replay tally (placed %v, fetched %v), stored (placed %v, fetched %v)",
+							i, tally.placed, tally.fetched, placed, fetched)
+					}
+					if got, want := p.fstash.Len(), c.fstash.Len(); got != want {
+						t.Fatalf("access %d replay %d: stash residue %d, live %d", i, k, got, want)
+					}
+					p.fstash.Each(func(e tree.Entry) {
+						if e.Leaf&tree.GatherFlag != 0 {
+							t.Fatalf("access %d replay %d: flag leaked into stash residue on %v", i, k, e.Addr)
+						}
+					})
 				}
 				evictOntoPathReference(shadow, leaf, refused, takeBuf,
-					func(e tree.Entry, l int, _ bool) { refCounts[l]++ })
+					func(_ tree.Entry, l int) { refCounts[l]++ })
 
-				for l := range liveCounts {
-					if liveCounts[l] != refCounts[l] {
-						t.Fatalf("access %d leaf %d: placement counts diverge at level %d: fused %v, reference %v",
-							i, leaf, l, liveCounts, refCounts)
-					}
+				if !slices.Equal(live.placed, refCounts) {
+					t.Fatalf("access %d leaf %d: placement counts diverge: fused %v, reference %v",
+						i, leaf, live.placed, refCounts)
 				}
 				if got, want := c.fstash.Len(), shadow.fstash.Len(); got != want {
 					t.Fatalf("access %d: stash residue diverges: fused %d, reference %d", i, got, want)

@@ -72,8 +72,135 @@ func pipelineSystem(t *testing.T, sch config.Scheme, ref bool) (*Issuer, *Contro
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.refPipeline = ref
+	if ref {
+		installReference(c)
+	}
 	return NewIssuer(c, nil), c
+}
+
+// refPipeline is the multi-walk, per-address shape of the path access, the
+// oracle of TestFusedPipelineMatchesReference. Where the fused pathAccess
+// charges DRAM from memoized run lists and gathers, extracts and tallies in
+// one walk, the reference rebuilds the physical address list every time,
+// services it per address through the dram oracle
+// (ServiceBatch/PostWrites), resolves the target's level with a separate
+// tree.Find walk, and reads the path into a buffer before scanning it. It
+// shares only evictOntoPath with the fused pipeline (the eviction has its
+// own oracle, evictOntoPathReference, whose tie-breaks differ), and charts
+// the Fig 5 migration split from outside it: the read leaves the path's
+// buckets empty, so a level's placements are its occupancy delta across
+// the write phase, and a fetched block's landing level is found with the
+// side-effect-free tree.Find and TopStore.Find.
+type refPipeline struct {
+	c       *Controller
+	accBuf  []dram.Access
+	readBuf []tree.Entry
+	before  []uint64 // per-level occupancy before the write phase
+	fetched []uint64 // per-level placements of blocks this path read
+}
+
+// installReference routes every path access of c through a refPipeline.
+func installReference(c *Controller) {
+	r := &refPipeline{c: c,
+		before: make([]uint64, c.o.Levels), fetched: make([]uint64, c.o.Levels)}
+	c.refAccess = r.pathAccess
+}
+
+// occupiedAt returns t's block count at level l, on-chip levels included.
+func occupiedAt(t *pathTree, l int) uint64 {
+	if l < t.minLevel {
+		return t.top.OccupiedAt(l)
+	}
+	return t.tr.OccupiedAt(l)
+}
+
+// pathAccess follows the pathAccess contract on either tree.
+func (r *refPipeline) pathAccess(t *pathTree, now uint64, leaf block.Leaf, target block.ID,
+	ptype block.PathType) (found bool, foundLevel int, done uint64) {
+	c := r.c
+	foundLevel = -1
+	if lvl, ok := t.tr.Find(target, leaf); ok {
+		foundLevel = lvl
+	}
+
+	// Read phase, per address: rebuild the []dram.Access batch and service
+	// it through the dram oracle.
+	c.physBuf = t.layout.PathPhys(leaf, c.physBuf[:0])
+	r.accBuf = r.accBuf[:0]
+	for _, a := range c.physBuf {
+		r.accBuf = append(r.accBuf, dram.Access{Addr: a + t.physOff})
+	}
+	readDone := c.mem.ServiceBatch(now, r.accBuf)
+	c.st.PhaseReadCycles += readDone - now
+
+	r.readBuf = r.readBuf[:0]
+	collect := func(e tree.Entry, _ int) { r.readBuf = append(r.readBuf, e) }
+	t.tr.ReadPathEach(leaf, collect)
+	if t.top != nil {
+		t.top.ReadPathEach(leaf, collect)
+	}
+	for _, e := range r.readBuf {
+		if e.Addr == target {
+			found = true
+			continue
+		}
+		t.fstash.Insert(e)
+	}
+	if !found {
+		foundLevel = -1
+	}
+
+	// Only the main tree charts the migration split (see pathTree.mig).
+	if t.mig != nil {
+		for l := range r.before {
+			r.before[l] = occupiedAt(t, l)
+		}
+	}
+	c.evictBuf = evictOntoPath(t, leaf, nil, c.evictList, c.evictBuf, nil)
+	if t.mig != nil {
+		r.chartMigration(t, leaf, target)
+	}
+
+	r.accBuf = r.accBuf[:0]
+	for _, a := range c.physBuf {
+		r.accBuf = append(r.accBuf, dram.Access{Addr: a + t.physOff, Write: true})
+	}
+	writeDone := c.mem.PostWrites(readDone, r.accBuf)
+	c.st.PhaseWriteBackCycles += writeDone - readDone
+
+	c.st.Paths.Add(ptype, len(c.physBuf), len(c.physBuf))
+	done = readDone + c.o.OnChipLatency
+	c.st.PathLatency[ptype].Observe(done - now)
+	t.paths++
+	if c.st.RecordLeaves && t == &c.pathTree {
+		c.st.Leaves = append(c.st.Leaves, leaf)
+	}
+	return found, foundLevel, done
+}
+
+// chartMigration records one write phase's placements per level, split
+// into blocks this path read (readBuf, minus the extracted target) and
+// blocks that were already stashed.
+func (r *refPipeline) chartMigration(t *pathTree, leaf block.Leaf, target block.ID) {
+	clear(r.fetched)
+	for _, e := range r.readBuf {
+		if e.Addr == target {
+			continue
+		}
+		if l, ok := t.tr.Find(e.Addr, leaf); ok {
+			r.fetched[l]++
+		} else if t.top != nil {
+			if l, ok := t.top.Find(e.Addr, leaf); ok {
+				r.fetched[l]++
+			}
+		}
+	}
+	for l, before := range r.before {
+		if placed := occupiedAt(t, l) - before; placed > 0 {
+			r.c.st.MigrationFetched.AddN(l, r.fetched[l])
+			r.c.st.MigrationPreexisting.AddN(l, placed-r.fetched[l])
+		}
+	}
 }
 
 // comparePipelines drives two systems through the same workload in
@@ -181,8 +308,8 @@ func comparePipelines(t *testing.T, label string, isA, isB *Issuer, cA, cB *Cont
 }
 
 // TestFusedPipelineMatchesReference pins the fused single-walk pipeline
-// (memoized run-list DRAM phases + one gather walk) against the retained
-// multi-walk, per-address reference (access_reference.go) across every
+// (memoized run-list DRAM phases + one gather walk) against the
+// multi-walk, per-address reference (refPipeline) across every
 // scheme: identical completion times for every request, identical
 // statistics, DRAM state, stash storage order and tree occupancy. The
 // fused side must also serve repeat leaves from its schedule cache, so the

@@ -347,22 +347,3 @@ func (m *Model) Reset() {
 		s.Invalidate()
 	}
 }
-
-// PathServiceBound returns an upper bound on the CPU cycles one path phase
-// of n blocks takes on an idle memory system — useful for checking that the
-// timing-protection interval T can absorb a full path (the paper's
-// assumption when fixing T=1000).
-//
-// The bound is strict for any address sequence: a channel's cursor advances
-// by at most one full row turnaround (precharge + write recovery +
-// activate + column access) plus one burst per access, because a bank's
-// last data beat never trails its channel's bus cursor. Real subtree-laid-
-// out paths come in far under it — they pay roughly one turnaround per
-// chunk, not per block — which TestPathServiceBoundDominatesRunLength
-// exercises against the run-length servicer.
-func (m *Model) PathServiceBound(n int) uint64 {
-	cpd := uint64(m.cfg.CPUCyclesPerDRAMCycle)
-	perChan := (uint64(n) + uint64(m.cfg.Channels) - 1) / uint64(m.cfg.Channels)
-	lat := uint64(m.cfg.TRP+m.cfg.TWR+m.cfg.TRCD+m.cfg.TCAS) * cpd
-	return perChan * (lat + uint64(m.cfg.TBurst)*cpd)
-}

@@ -47,8 +47,8 @@ func TestPostWritesEmpty(t *testing.T) {
 
 func TestPathServiceBoundPositive(t *testing.T) {
 	m := New(testCfg())
-	b60 := m.PathServiceBound(60)
-	b43 := m.PathServiceBound(43)
+	b60 := pathServiceBound(m, 60)
+	b43 := pathServiceBound(m, 43)
 	if b60 <= b43 || b43 == 0 {
 		t.Errorf("bounds %d / %d not monotone in block count", b60, b43)
 	}

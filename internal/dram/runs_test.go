@@ -201,7 +201,22 @@ func TestRunBankConflictWrap(t *testing.T) {
 	}
 }
 
-// TestPathServiceBoundDominatesRunLength pins PathServiceBound as an upper
+// pathServiceBound returns an upper bound on the CPU cycles one path phase
+// of n blocks takes on m's idle memory system, the premise of fixing the
+// timing-protection interval T (the paper's T=1000). A channel's cursor
+// advances by at most one full row turnaround (precharge + write recovery
+// + activate + column access) plus one burst per access, because a bank's
+// last data beat never trails its channel's bus cursor. Real
+// subtree-laid-out paths come in far under it: they pay roughly one
+// turnaround per chunk, not per block.
+func pathServiceBound(m *Model, n int) uint64 {
+	cpd := uint64(m.cfg.CPUCyclesPerDRAMCycle)
+	perChan := (uint64(n) + uint64(m.cfg.Channels) - 1) / uint64(m.cfg.Channels)
+	lat := uint64(m.cfg.TRP+m.cfg.TWR+m.cfg.TRCD+m.cfg.TCAS) * cpd
+	return perChan * (lat + uint64(m.cfg.TBurst)*cpd)
+}
+
+// TestPathServiceBoundDominatesRunLength pins pathServiceBound as an upper
 // bound on the run-length servicer for real subtree-laid-out paths on a
 // cold, idle model: no path may take longer than the bound used to size
 // the timing-protection interval T. (The bound's premise is a path's
@@ -217,7 +232,7 @@ func TestPathServiceBoundDominatesRunLength(t *testing.T) {
 		leaf := block.Leaf(r.Uint64n(sys.ORAM.LeafCount()))
 		phys = layout.PathPhys(leaf, phys[:0])
 		took := m.ServicePath(0, phys, iter%2 == 0)
-		if bound := m.PathServiceBound(len(phys)); took > bound {
+		if bound := pathServiceBound(m, len(phys)); took > bound {
 			t.Fatalf("iter %d leaf %d: run-length service of %d blocks took %d cycles, bound %d",
 				iter, leaf, len(phys), took, bound)
 		}

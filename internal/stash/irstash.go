@@ -140,27 +140,8 @@ func (s *IRStash) LookupByAddr(addr block.ID) (block.Leaf, bool) {
 	return block.NoLeaf, false
 }
 
-// ReadPath implements TopStore: it drains the top buckets along leaf via
-// the TT pointers.
-func (s *IRStash) ReadPath(leaf block.Leaf, dst []tree.Entry) []tree.Entry {
-	out := dst
-	for l := 0; l < s.topLevels; l++ {
-		n := s.node(l, leaf)
-		for i, ptr := range s.tt[n] {
-			if ptr < 0 {
-				continue
-			}
-			sl := &s.slots[ptr]
-			out = append(out, tree.Entry{Addr: sl.addr, Leaf: sl.leaf})
-			sl.valid = false
-			s.tt[n][i] = -1
-			s.occupied[l]--
-		}
-	}
-	return out
-}
-
-// ReadPathEach implements TopStore.
+// ReadPathEach implements TopStore: it drains the top buckets along leaf
+// via the TT pointers.
 func (s *IRStash) ReadPathEach(leaf block.Leaf, visit func(tree.Entry, int)) {
 	for l := 0; l < s.topLevels; l++ {
 		n := s.node(l, leaf)
@@ -253,15 +234,4 @@ func (s *IRStash) Len() int {
 		n += int(o)
 	}
 	return n
-}
-
-// TTBytes returns the TT table size in bytes using the paper's 12-bit
-// pointer encoding ((2^t - 1) buckets x Z pointers x 12 bits) — 6 KB for
-// the Table I geometry, the space-overhead number of Section VI-F.
-func (s *IRStash) TTBytes() int {
-	bits := 0
-	for l := 0; l < s.topLevels; l++ {
-		bits += (1 << uint(l)) * s.z[l] * 12
-	}
-	return bits / 8
 }

@@ -137,6 +137,14 @@ func topZ() []int {
 	return z
 }
 
+// readPath drains the top segment of leaf's path into a slice, in emission
+// order.
+func readPath(ts TopStore, leaf block.Leaf) []tree.Entry {
+	var out []tree.Entry
+	ts.ReadPathEach(leaf, func(e tree.Entry, _ int) { out = append(out, e) })
+	return out
+}
+
 func testStores() map[string]TopStore {
 	return map[string]TopStore{
 		"dedicated": NewTopCache(testLevels, testTop, topZ()),
@@ -156,9 +164,9 @@ func TestTopStoreFillReadRoundTrip(t *testing.T) {
 		if ts.Len() != 2 {
 			t.Fatalf("%s: Len = %d", name, ts.Len())
 		}
-		got := ts.ReadPath(leaf, nil)
+		got := readPath(ts, leaf)
 		if len(got) != 2 {
-			t.Fatalf("%s: ReadPath returned %d", name, len(got))
+			t.Fatalf("%s: ReadPathEach drained %d", name, len(got))
 		}
 		if ts.Len() != 0 {
 			t.Errorf("%s: store not drained", name)
@@ -305,19 +313,6 @@ func TestIRStashConflictRefusal(t *testing.T) {
 	}
 }
 
-func TestIRStashTTBytesTableI(t *testing.T) {
-	// Section VI-F: (2^10-1) buckets x 4 pointers x 12 bits ~= 6 KB.
-	z := make([]int, 25)
-	for i := range z {
-		z[i] = 4
-	}
-	s := NewIRStash(25, 10, z, 4)
-	got := s.TTBytes()
-	if got < 6000 || got > 6200 {
-		t.Errorf("TTBytes = %d, want about 6 KB", got)
-	}
-}
-
 func TestIRStashHashSpreads(t *testing.T) {
 	s := NewIRStash(testLevels, testTop, topZ(), 4)
 	counts := make([]int, s.sets)
@@ -357,7 +352,7 @@ func TestTopStoreConservation(t *testing.T) {
 						inStore++
 					}
 				} else {
-					inStore -= len(ts.ReadPath(leaf, nil))
+					inStore -= len(readPath(ts, leaf))
 				}
 				if ts.Len() != inStore {
 					return false

@@ -15,7 +15,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"iroram/internal/block"
@@ -167,49 +166,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Markdown renders the table as a GitHub-flavored markdown table, the
-// format EXPERIMENTS.md embeds.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	b.WriteString("| benchmark |")
-	for _, s := range t.Series {
-		fmt.Fprintf(&b, " %s |", s.Name)
-	}
-	b.WriteString("\n|---|")
-	for range t.Series {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for ri, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s |", r)
-		for _, s := range t.Series {
-			fmt.Fprintf(&b, " %s |", formatCell(s.Values[ri]))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values with a header row.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString("benchmark")
-	for _, s := range t.Series {
-		b.WriteByte(',')
-		b.WriteString(s.Name)
-	}
-	b.WriteByte('\n')
-	for ri, r := range t.Rows {
-		b.WriteString(r)
-		for _, s := range t.Series {
-			fmt.Fprintf(&b, ",%g", s.Values[ri])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 func formatCell(v float64) string {
 	switch {
 	case v == 0:
@@ -263,18 +219,4 @@ func StdDev(values []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(values)))
-}
-
-// Median returns the median, or 0 for an empty slice.
-func Median(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), values...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
 }

@@ -86,11 +86,11 @@ func TestRowLocality(t *testing.T) {
 	for _, a := range addrs {
 		rows[a/rowBlocks] = true
 	}
-	if len(rows) > ly.Chunks()+1 {
-		t.Errorf("path touches %d rows for %d chunks", len(rows), ly.Chunks())
+	if len(rows) > len(ly.chunks)+1 {
+		t.Errorf("path touches %d rows for %d chunks", len(rows), len(ly.chunks))
 	}
-	if ly.Chunks() > 4 {
-		t.Errorf("scaled geometry should need <= 4 chunks, got %d", ly.Chunks())
+	if len(ly.chunks) > 4 {
+		t.Errorf("scaled geometry should need <= 4 chunks, got %d", len(ly.chunks))
 	}
 }
 

@@ -110,9 +110,6 @@ func New(o config.ORAM, minLevel int) *Tree {
 // Levels returns L.
 func (t *Tree) Levels() int { return t.levels }
 
-// MinLevel returns the shallowest memory-resident level.
-func (t *Tree) MinLevel() int { return t.minLevel }
-
 // Z returns the bucket size of a level.
 func (t *Tree) Z(level int) int { return t.z[level] }
 
@@ -151,39 +148,12 @@ func (t *Tree) bucketSlots(level int, idx uint64) (lo, hi uint64) {
 	return lo, lo + z
 }
 
-// ReadPath removes every real block on the path of leaf (memory-resident
+// ReadPathEach removes every real block on the path of leaf (memory-resident
 // levels only), leaving those buckets empty — the read phase of a path
-// access. The blocks are appended to dst (pass nil, or a reused buffer to
-// keep the hot path allocation-free) and returned root-to-leaf.
-func (t *Tree) ReadPath(leaf block.Leaf, dst []Entry) []Entry {
-	out := dst
-	for l := t.minLevel; l < t.levels; l++ {
-		idx := t.BucketIndex(l, leaf)
-		w := t.occBase[l] + idx
-		o := t.occ[w]
-		if o == 0 {
-			continue
-		}
-		t.occ[w] = 0
-		t.occupied[l] -= uint64(bits.OnesCount64(o))
-		lo := t.levelBase[l] + idx*uint64(t.z[l])
-		for o != 0 {
-			s := lo + uint64(bits.TrailingZeros64(o))
-			o &= o - 1
-			out = append(out, Entry{
-				Addr: block.ID(t.slotAddr[s]),
-				Leaf: block.Leaf(t.slotLeaf[s]),
-			})
-		}
-	}
-	return out
-}
-
-// ReadPathEach is ReadPath without the intermediate buffer: it removes every
-// real block on the path of leaf (memory-resident levels only) and hands
-// each to visit along with its level, in exactly ReadPath's root-to-leaf
-// emission order. It is the read-gather half of the controller's fused
-// single-walk pipeline; visit must not touch the tree.
+// access — and hands each to visit along with its level, root to leaf and
+// in ascending slot order within a bucket. It is the read-gather half of
+// the controller's fused single-walk pipeline; visit must not touch the
+// tree.
 func (t *Tree) ReadPathEach(leaf block.Leaf, visit func(Entry, int)) {
 	for l := t.minLevel; l < t.levels; l++ {
 		idx := t.BucketIndex(l, leaf)

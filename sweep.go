@@ -11,30 +11,10 @@ import (
 	"iroram/internal/runner"
 )
 
-// CellCache memoizes simulation cell results across experiment drivers:
-// identical (configuration, benchmark, requests, epoch-interval) cells
-// simulate once and every later requester is served the stored Result.
-// Attach one to ExperimentOptions.Cache, or let Sweep manage it. See
-// internal/cellcache for the single-flight and immutability contracts.
-type CellCache = cellcache.Cache
-
-// NewCellCache returns an empty cross-figure cell cache.
-func NewCellCache() *CellCache { return cellcache.New() }
-
 // CellCounters tallies cell requests and cache hits across experiment
 // batches; attach one to ExperimentOptions.Counters. All fields are atomic,
 // so one value may be shared by concurrently running drivers.
 type CellCounters = experiments.CellCounters
-
-// CellLimit bounds how many simulation cells execute concurrently across
-// every ExperimentOptions sharing it — the machine-wide budget when several
-// figure drivers run at once. Attach via ExperimentOptions.Limit, or let
-// Sweep manage it.
-type CellLimit = runner.Limit
-
-// NewCellLimit returns a limit admitting n concurrent cells; n <= 0 means
-// GOMAXPROCS.
-func NewCellLimit(n int) *CellLimit { return runner.NewLimit(n) }
 
 // FigureRun reports the outcome of one experiment within a Sweep.
 type FigureRun struct {
